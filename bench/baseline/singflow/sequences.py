@@ -1,0 +1,335 @@
+"""Finitely described bi-infinite sequences and the binary shift.
+
+A sequence is stored as an explicit window of symbols plus two periodic
+tail words.  The window occupies coordinates ``start .. start+len(window)-1``;
+the left tail word tiles leftward (its last symbol sits at ``start-1``), the
+right tail word tiles rightward (its first symbol sits just past the window).
+Everything of interest here (blocks, periodic points, the all-zero sequence)
+is of this shape, so equality, shifts and coordinate lookups are exact.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+INF = math.inf
+
+# Distances larger than this are reported as infinite.
+MAX_GAP = 2 ** 62
+
+
+class SequenceFormatError(ValueError):
+    """Raised for malformed textual sequence literals."""
+
+
+def _primitive(word: tuple) -> tuple:
+    """Smallest word whose repetition equals ``word``."""
+    n = len(word)
+    for per in range(1, n + 1):
+        if n % per == 0 and word == word[:per] * (n // per):
+            return word[:per]
+    return word
+
+
+def _lcm(a: int, b: int) -> int:
+    return a * b // math.gcd(a, b)
+
+
+class SymbolSequence:
+    """Bi-infinite sequence over an arbitrary alphabet, eventually periodic
+    on both sides.
+
+    Construction canonicalizes: tail words are reduced to their primitive
+    root and window symbols already described by a tail are absorbed into
+    it, so the window cannot be shortened without changing the sequence.
+    Values are immutable after construction.
+    """
+
+    __slots__ = ("window", "start", "left", "right")
+
+    def __init__(self, window=(), start=0, left=(0,), right=(0,)):
+        window = tuple(window)
+        left = _primitive(tuple(left))
+        right = _primitive(tuple(right))
+        if not left or not right:
+            raise ValueError("tail words must be nonempty")
+        # Absorb window symbols the tails already predict.  Absorbing one
+        # symbol rotates the adjacent tail word so its anchoring at the
+        # window edge stays consistent.
+        while window and window[0] == left[0]:
+            window = window[1:]
+            start += 1
+            left = left[1:] + left[:1]
+        while window and window[-1] == right[-1]:
+            window = window[:-1]
+            right = right[-1:] + right[:-1]
+        if not window:
+            start, left, right = self._normalize_empty(start, left, right)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("sequences are immutable")
+
+    @staticmethod
+    def _normalize_empty(start, left, right):
+        """Anchor fully periodic sequences at coordinate 0 when possible."""
+        if len(left) == 1 and left == right:
+            return 0, left, right
+        per = _lcm(len(left), len(right))
+
+        def at_raw(n):
+            if n < start:
+                j = start - 1 - n
+                return left[len(left) - 1 - (j % len(left))]
+            return right[(n - start) % len(right)]
+
+        # If the two tilings agree across the boundary the sequence is a
+        # single periodic word; re-anchor it at 0.
+        if all(at_raw(start + j) == at_raw(start + j - per) for j in range(per)):
+            new_right = tuple(at_raw(j) for j in range(per))
+            new_left = tuple(at_raw(-per + j) for j in range(per))
+            return 0, _primitive(new_left), _primitive(new_right)
+        return start, left, right
+
+    @property
+    def end(self) -> int:
+        return self.start + len(self.window)
+
+    def at(self, n: int):
+        """Symbol at coordinate n."""
+        if self.start <= n < self.end:
+            return self.window[n - self.start]
+        if n < self.start:
+            w = self.left
+            j = self.start - 1 - n
+            return w[len(w) - 1 - (j % len(w))]
+        w = self.right
+        return w[(n - self.end) % len(w)]
+
+    def segment(self, a: int, b: int) -> tuple:
+        return tuple(self.at(n) for n in range(a, b))
+
+    def shifted(self, n: int) -> "SymbolSequence":
+        """Sequence y with y_m = x_{m+n}."""
+        return type(self)(self.window, self.start - n, self.left, self.right)
+
+    def _compare_bound(self, other) -> tuple[int, int]:
+        lo = min(self.start, other.start)
+        hi = max(self.end, other.end)
+        pl = _lcm(len(self.left), len(other.left))
+        pr = _lcm(len(self.right), len(other.right))
+        return lo - pl, hi + pr
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, SymbolSequence):
+            return NotImplemented
+        lo, hi = self._compare_bound(other)
+        return all(self.at(n) == other.at(n) for n in range(lo, hi))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(window={self.window!r}, "
+                f"start={self.start}, left={self.left!r}, right={self.right!r})")
+
+
+class BitSequence(SymbolSequence):
+    """Element of the binary full shift in finite description.
+
+    The all-zero sequence (empty window, both tails ``0``) is the unique
+    representation of the shift's fixed point.
+    """
+
+    __slots__ = ("_wbytes",)
+
+    def __init__(self, window=(), start=0, left=(0,), right=(0,)):
+        super().__init__(window, start, left, right)
+        if not set(self.window) <= {0, 1} or not set(self.left) <= {0, 1} \
+                or not set(self.right) <= {0, 1}:
+            raise ValueError("bit sequences hold 0/1 symbols")
+        object.__setattr__(self, "_wbytes", bytes(self.window))
+
+    @classmethod
+    def zero(cls) -> "BitSequence":
+        return cls()
+
+    @classmethod
+    def from_ones(cls, ones, left=(0,), right=(0,)) -> "BitSequence":
+        """Sequence with 1s exactly at the given window coordinates."""
+        positions = set(ones)
+        if not positions:
+            return cls(left=left, right=right)
+        lo, hi = min(positions), max(positions)
+        window = tuple(1 if n in positions else 0 for n in range(lo, hi + 1))
+        return cls(window, lo, left, right)
+
+    @classmethod
+    def periodic(cls, word) -> "BitSequence":
+        """Fully periodic sequence ...www... with word[0] at coordinate 0."""
+        word = tuple(word)
+        if not word:
+            raise ValueError("period word must be nonempty")
+        return cls((), 0, word, word)
+
+    def is_zero(self) -> bool:
+        return not self.window and self.left == (0,) and self.right == (0,)
+
+    def last_one_at_or_before(self, p0: int):
+        """Largest coordinate q <= p0 with x_q = 1, or None."""
+        e = self.end
+        if p0 >= e:
+            w = self.right
+            n = len(w)
+            lo = max(0, p0 - e - n + 1)
+            for j in range(p0 - e, lo - 1, -1):
+                if w[j % n]:
+                    return e + j
+        if p0 >= self.start:
+            hit = self._wbytes.rfind(1, 0, min(p0, e - 1) - self.start + 1)
+            if hit >= 0:
+                return self.start + hit
+        w = self.left
+        n = len(w)
+        top = min(p0, self.start - 1)
+        for q in range(top, top - n, -1):
+            j = self.start - 1 - q
+            if w[n - 1 - (j % n)]:
+                return q
+        return None
+
+    def first_one_at_or_after(self, p0: int):
+        """Smallest coordinate q >= p0 with x_q = 1, or None."""
+        if p0 < self.start:
+            w = self.left
+            n = len(w)
+            # scanning one period suffices: beyond it the tail repeats
+            for q in range(p0, min(self.start, p0 + n)):
+                j = self.start - 1 - q
+                if w[n - 1 - (j % n)]:
+                    return q
+        if p0 < self.end:
+            hit = self._wbytes.find(1, max(p0, self.start) - self.start)
+            if hit >= 0:
+                return self.start + hit
+        w = self.right
+        n = len(w)
+        j0 = max(0, p0 - self.end)
+        for j in range(j0, j0 + n):
+            if w[j % n]:
+                return self.end + j
+        return None
+
+    def gap_pair_at(self, pos: int) -> "GapPair":
+        """Gap coordinates of the shifted sequence with origin at ``pos``."""
+        left = self.last_one_at_or_before(pos)
+        right = self.first_one_at_or_after(pos + 1)
+        km = INF if left is None else pos - left
+        kp = INF if right is None else right - pos
+        if km > MAX_GAP:
+            km = INF
+        if kp > MAX_GAP:
+            kp = INF
+        return GapPair(km, kp)
+
+
+@dataclass(frozen=True)
+class GapPair:
+    """Distances from the origin to the nearest 1 in the past (index <= 0,
+    inclusive) and in the strict future.  Both infinite exactly for the
+    all-zero sequence."""
+
+    k_minus: object  # nonnegative int, or math.inf
+    k_plus: object   # positive int, or math.inf
+
+    def __post_init__(self):
+        if self.k_minus != INF and (self.k_minus < 0):
+            raise ValueError("k_minus must be >= 0")
+        if self.k_plus != INF and (self.k_plus < 1):
+            raise ValueError("k_plus must be >= 1")
+
+    def is_singular(self) -> bool:
+        return self.k_minus == INF and self.k_plus == INF
+
+
+def shift(x: SymbolSequence, n: int) -> SymbolSequence:
+    """n-fold shift: coordinate m of the result is coordinate m+n of x."""
+    return x.shifted(n)
+
+
+def gap_pair(x: BitSequence) -> GapPair:
+    return x.gap_pair_at(0)
+
+
+def seq_distance(x: BitSequence, y: BitSequence) -> float:
+    """2^(-m) where m is the smallest |n| at which x and y differ; 0 if equal."""
+    if x == y:
+        return 0.0
+    lo, hi = x._compare_bound(y)
+    bound = max(-lo, hi)
+    for m in range(0, bound + 1):
+        if x.at(m) != y.at(m) or x.at(-m) != y.at(-m):
+            return math.ldexp(1.0, -m)
+    raise AssertionError("unequal sequences must differ within the compare bound")
+
+
+# ---------------------------------------------------------------------------
+# Textual literals:  LEFT|WORD|RIGHT[@START]
+#
+#   LEFT, RIGHT  ::=  "0*"  |  "(" bits ")*"
+#   WORD         ::=  bits (possibly empty; spaces ignored)
+#   START        ::=  integer coordinate of WORD's first bit (default 0)
+#
+# Examples:  "0*|1|0*"        a single 1 at the origin
+#            "0*|1001|0*@-1"  the word 1001 on coordinates -1..2
+#            "(10)*||(10)*"   the 2-periodic sequence with 1s at even indices
+
+def _parse_bits(s: str) -> tuple:
+    bits = []
+    for ch in s:
+        if ch in " \t":
+            continue
+        if ch not in "01":
+            raise SequenceFormatError(f"invalid bit {ch!r}")
+        bits.append(int(ch))
+    return tuple(bits)
+
+
+def _parse_tail(s: str) -> tuple:
+    s = s.strip()
+    if s == "0*":
+        return (0,)
+    if s.startswith("(") and s.endswith(")*"):
+        bits = _parse_bits(s[1:-2])
+        if not bits:
+            raise SequenceFormatError("empty periodic tail word")
+        return bits
+    raise SequenceFormatError(f"tail must be 0* or (w)*, got {s!r}")
+
+
+def parse_sequence_literal(text: str) -> BitSequence:
+    body = text.strip()
+    start = 0
+    if "@" in body:
+        body, _, tail = body.rpartition("@")
+        start = int(tail.strip())
+    parts = body.split("|")
+    if len(parts) != 3:
+        raise SequenceFormatError("literal must have the form LEFT|WORD|RIGHT[@START]")
+    return BitSequence(_parse_bits(parts[1]), start, _parse_tail(parts[0]), _parse_tail(parts[2]))
+
+
+def format_sequence_literal(x: BitSequence) -> str:
+    def tail(w):
+        return "0*" if w == (0,) else "(" + "".join(map(str, w)) + ")*"
+
+    word = "".join(map(str, x.window))
+    lit = f"{tail(x.left)}|{word}|{tail(x.right)}"
+    if x.start != 0:
+        lit += f"@{x.start}"
+    return lit

@@ -1,0 +1,315 @@
+"""The suspension space over the binary shift, its flow, and chain geometry.
+
+Points live in the quotient of {(x,t): 0 <= t <= f(x)} by (x, f(x)) ~ (Tx, 0);
+canonical representatives satisfy 0 <= t < f(x), with (x,t) = (*,0) at the
+singular fiber of a vanishing roof.  Chain lengths follow Bowen and Walters:
+a pair at equal normalized height is horizontal, a pair on the same or on
+adjacent fibers is vertical, and distances are infima of chain lengths.  The
+crossing length of a vertical pair is measured along the flow through the
+roof identification: from (x,u) up to (Tx,u') costs 1 - u + u'.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .roofs import RoofFunction, admissibility_check, ADMISSIBLE, roof_eval
+from .sequences import BitSequence, seq_distance
+
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
+
+HEIGHT_TOL = 1e-9
+MAX_CROSSINGS = 10 ** 6
+
+
+class PairKindError(ValueError):
+    """The pair does not have the declared kind."""
+
+
+class CanonicalHeightError(ValueError):
+    """Height outside [0, f(base))."""
+
+
+class FlowResourceError(RuntimeError):
+    """The itinerary needed more roof crossings than allowed."""
+
+
+class InadmissibleRoofError(ValueError):
+    """The roof does not define a suspension flow."""
+
+
+@dataclass(frozen=True)
+class FlowPoint:
+    base: BitSequence
+    height: float
+
+    def __repr__(self):
+        return f"FlowPoint({self.base!r}, {self.height!r})"
+
+
+def flow_point(f: RoofFunction, base: BitSequence, height: float) -> FlowPoint:
+    """Canonical point of the suspension: validates 0 <= height < f(base)
+    (height 0 at the singular fiber)."""
+    roof = roof_eval(f, base)
+    if roof == 0.0:
+        if height != 0.0:
+            raise CanonicalHeightError("only height 0 exists over the singular fiber")
+    elif not 0.0 <= height < roof:
+        raise CanonicalHeightError(f"height {height} outside [0, {roof})")
+    return FlowPoint(base, float(height))
+
+
+def singular_point() -> FlowPoint:
+    return FlowPoint(BitSequence.zero(), 0.0)
+
+
+def norm_height(p: FlowPoint, f: RoofFunction) -> float:
+    """u = t/f(x), with u = 0 at the singular fiber."""
+    roof = roof_eval(f, p.base)
+    if roof == 0.0:
+        return 0.0
+    return p.height / roof
+
+
+def _kadd(s: float, c: float, x: float) -> tuple[float, float]:
+    # Kahan compensated addition
+    y = x - c
+    t = s + y
+    return t, (t - s) - y
+
+
+def _roof_at(f: RoofFunction, x: BitSequence, pos: int) -> float:
+    if f.is_constant:
+        return f.constant
+    if x.at(pos) == 1:
+        return f.profile.g0
+    k = x.gap_pair_at(pos)
+    return f.value_at_gap(min(k.k_minus, k.k_plus))
+
+
+def flow(p: FlowPoint, t: float, f: RoofFunction,
+         max_crossings: int = MAX_CROSSINGS) -> FlowPoint:
+    """Time-t image of p under the suspension flow, in canonical form.
+
+    The singular fiber is fixed.  Heights are accumulated with compensated
+    summation; crossing more than ``max_crossings`` roof levels raises
+    FlowResourceError.
+    """
+    base = p.base
+    if f.is_singular and base.is_zero():
+        return p
+    pos = 0
+    h, c = _kadd(p.height, 0.0, t)
+    roof = _roof_at(f, base, pos)
+    crossings = 0
+    while h >= roof:
+        h, c = _kadd(h, c, -roof)
+        pos += 1
+        crossings += 1
+        if crossings > max_crossings:
+            raise FlowResourceError(f"more than {max_crossings} roof crossings")
+        roof = _roof_at(f, base, pos)
+    while h < 0.0:
+        pos -= 1
+        crossings += 1
+        if crossings > max_crossings:
+            raise FlowResourceError(f"more than {max_crossings} roof crossings")
+        roof = _roof_at(f, base, pos)
+        h, c = _kadd(h, c, roof)
+    h = h + c
+    if h < 0.0:  # compensation dust
+        h = 0.0
+    if h >= roof:
+        pos += 1
+        h = 0.0
+    return FlowPoint(base.shifted(pos) if pos else base, h)
+
+
+def flowpoints_close(p: FlowPoint, q: FlowPoint, f: RoofFunction,
+                     tol: float = HEIGHT_TOL) -> bool:
+    """Whether two canonical points agree up to a height tolerance, allowing
+    a representative straddling one roof crossing."""
+    if p.base == q.base:
+        return abs(p.height - q.height) <= tol
+    if q.base == p.base.shifted(1):
+        return abs((roof_eval(f, p.base) - p.height) + q.height) <= tol
+    if p.base == q.base.shifted(1):
+        return abs((roof_eval(f, q.base) - q.height) + p.height) <= tol
+    return False
+
+
+def pair_length(a: FlowPoint, b: FlowPoint, kind: str, f: RoofFunction) -> float:
+    """Length of an admissible pair.
+
+    horizontal (equal normalized height u):
+        (1-u) d(x_a, x_b) + u d(Tx_a, Tx_b)
+    vertical: |u_a - u_b| on the same fiber; through the roof, flowing up
+        from a to b on the next fiber costs 1 - u_a + u_b (and symmetrically).
+    """
+    ua = norm_height(a, f)
+    ub = norm_height(b, f)
+    if kind == HORIZONTAL:
+        if abs(ua - ub) > HEIGHT_TOL:
+            raise PairKindError("horizontal pair needs equal normalized heights")
+        u = 0.5 * (ua + ub)
+        return ((1.0 - u) * seq_distance(a.base, b.base)
+                + u * seq_distance(a.base.shifted(1), b.base.shifted(1)))
+    if kind == VERTICAL:
+        if a.base == b.base:
+            return abs(ua - ub)
+        if b.base == a.base.shifted(1):
+            return 1.0 - ua + ub
+        if a.base == b.base.shifted(1):
+            return 1.0 - ub + ua
+        raise PairKindError("vertical pair needs equal or adjacent fibers")
+    raise PairKindError(f"unknown pair kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class AdmissibleChain:
+    """Chain of points with a declared kind per consecutive pair."""
+
+    points: tuple
+    kinds: tuple
+
+    def __post_init__(self):
+        if len(self.kinds) != max(len(self.points) - 1, 0):
+            raise ValueError("need one kind per consecutive pair")
+
+    def length(self, f: RoofFunction) -> float:
+        return sum(pair_length(a, b, k, f)
+                   for a, b, k in zip(self.points, self.points[1:], self.kinds))
+
+
+def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
+                      chain_budget: int, window: int = 3) -> float:
+    """Minimum length over admissible chains of at most ``chain_budget``
+    points whose intermediate bases lie on the two orbits' windows of radius
+    ``window``, at normalized heights {0, u_a, u_b}.
+
+    This is an upper bound on the chain-infimum distance: symmetric, zero
+    exactly on the diagonal, nonincreasing in the budget, and chains
+    concatenate, so doubling the budget satisfies the relaxed triangle
+    inequality.
+    """
+    if chain_budget < 2:
+        raise ValueError("chain budget must be at least 2")
+    if a == b:
+        return 0.0
+    ua = norm_height(a, f)
+    ub = norm_height(b, f)
+
+    bases: list = []
+
+    def base_index(y) -> int:
+        for i, z in enumerate(bases):
+            if z == y:
+                return i
+        bases.append(y)
+        return len(bases) - 1
+
+    verts: list[tuple[int, float]] = []   # (base index, normalized height)
+
+    def add(bi: int, u: float):
+        if (bi, u) not in verts:
+            verts.append((bi, u))
+
+    add(base_index(a.base), ua)
+    add(base_index(b.base), ub)
+    grid = sorted({0.0, ua, ub})
+    for endpoint in (a, b):
+        for j in range(-window, window + 1):
+            bi = base_index(endpoint.base.shifted(j))
+            if roof_eval(f, bases[bi]) == 0.0:
+                add(bi, 0.0)
+                continue
+            for u in grid:
+                add(bi, u)
+
+    nb = len(bases)
+    shifted = [y.shifted(1) for y in bases]
+    succ = [[shifted[i] == bases[j] for j in range(nb)] for i in range(nb)]
+    d0 = [[0.0] * nb for _ in range(nb)]
+    d1 = [[0.0] * nb for _ in range(nb)]
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            d0[i][j] = d0[j][i] = seq_distance(bases[i], bases[j])
+            d1[i][j] = d1[j][i] = seq_distance(shifted[i], shifted[j])
+
+    n = len(verts)
+    weight = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        weight[i][i] = 0.0
+        bi, ui = verts[i]
+        for j in range(i + 1, n):
+            bj, uj = verts[j]
+            best = math.inf
+            if bi == bj:
+                best = abs(ui - uj)
+            elif succ[bi][bj]:
+                best = 1.0 - ui + uj
+            elif succ[bj][bi]:
+                best = 1.0 - uj + ui
+            if abs(ui - uj) <= HEIGHT_TOL:
+                u = 0.5 * (ui + uj)
+                best = min(best, (1.0 - u) * d0[bi][bj] + u * d1[bi][bj])
+            weight[i][j] = weight[j][i] = best
+
+    # shortest path from a (index 0) using at most chain_budget-1 edges
+    dist = [math.inf] * n
+    dist[0] = 0.0
+    for _ in range(chain_budget - 1):
+        new = dist[:]
+        for v in range(n):
+            row = weight[v]
+            best = new[v]
+            for u in range(n):
+                d = dist[u] + row[u]
+                if d < best:
+                    best = d
+            new[v] = best
+        dist = new
+    return dist[1]
+
+
+@dataclass(frozen=True)
+class UnitPoint:
+    """Point of the unit-roof suspension over the flow's time-1 map."""
+
+    base_point: FlowPoint
+    phase: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.phase < 1.0:
+            raise ValueError("phase must lie in [0, 1)")
+
+
+class UnitRoofExtension:
+    """Factor map from the unit-roof suspension of the time-1 map down to
+    the flow itself: (x_hat, s) |-> time-s image of x_hat.  Equivariant with
+    the two flows by construction."""
+
+    def __init__(self, f: RoofFunction, max_crossings: int = MAX_CROSSINGS):
+        if f.is_singular and admissibility_check(f.profile) != ADMISSIBLE:
+            raise InadmissibleRoofError(f"roof {f.spec()} is not admissible")
+        self.f = f
+        self.max_crossings = max_crossings
+
+    def project(self, p: UnitPoint) -> FlowPoint:
+        return flow(p.base_point, p.phase, self.f, self.max_crossings)
+
+    __call__ = project
+
+    def advance(self, p: UnitPoint, t: float) -> UnitPoint:
+        """Time-t map of the unit-roof suspension."""
+        total = p.phase + t
+        n = math.floor(total)
+        moved = flow(p.base_point, float(n), self.f, self.max_crossings)
+        return UnitPoint(moved, total - n)
+
+
+def unit_roof_extension(f: RoofFunction,
+                        max_crossings: int = MAX_CROSSINGS) -> UnitRoofExtension:
+    return UnitRoofExtension(f, max_crossings)
