@@ -23,9 +23,10 @@ import numpy as np
 from . import codec as cdc
 from . import entropy as ent
 from .roofs import Harmonic, RoofSpecError, parse_roof_spec, roof_eval
-from .sequences import BitSequence, GapPair
+from .sequences import BitSequence
 from .suspension import (UnitPoint, bw_distance_upper, flow, flow_point,
                          flowpoints_close, unit_roof_extension)
+from .verify import SUITES
 
 
 @dataclass
@@ -72,148 +73,17 @@ def _open_output(path: str):
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-def _suite_region(cfg) -> tuple[bool, str]:
-    limit = min(cfg.gap_max, 2000)
-    for km in range(0, limit + 1):
-        for kp in range(1, limit + 1):
-            r = cdc.region_of(GapPair(km, kp), cfg.boundary)
-            if km == 0:
-                ok = r == 1
-            elif kp <= km:
-                ok = r == 4
-            else:
-                ok = r in (2, 3)
-            if not ok:
-                return False, f"pair ({km},{kp}) fell into R{r}"
-    for k, want in ((GapPair(0, math.inf), 1), (GapPair(5, math.inf), 2),
-                    (GapPair(math.inf, 7), 4)):
-        if cdc.region_of(k, cfg.boundary) != want:
-            return False, f"infinite pair {k} misclassified"
-    return True, f"partition exhaustive to {limit}, infinite rays included"
-
-
-def _suite_fr(cfg) -> tuple[bool, str]:
-    bad = []
-    for gap in range(3, cfg.gap_max + 1):
-        prof = cdc.return_profile(gap, cfg.boundary)
-        p, r = prof.p, prof.r
-        if r is None:
-            bad.append(gap)
-            continue
-        pattern = (1,) + (2,) * (r - 1) + (3,) + (4,) * (p - 1 - r)
-        if prof.regions != pattern:
-            return False, f"gap {gap}: region pattern {prof.regions}"
-        for q in range(1, r + 1):
-            if prof.offsets[q] != 1 << (q - 1):
-                return False, f"gap {gap}: doubling broken at step {q}"
-        for q in range(r + 1, p):
-            kp = gap - prof.offsets[q]
-            val = 1 << (p - 1 - q)
-            for i in range(p - q - 1):
-                val += prof.epsilon_bits[q + i] << i
-            if kp != val:
-                return False, f"gap {gap}: parity expansion broken at step {q}"
-        if 2 * r < p - 3:
-            return False, f"gap {gap}: return time bound broken (p={p}, r={r})"
-    if bad:
-        return False, f"no R3 visit at gaps {bad[:8]}{'...' if len(bad) > 8 else ''}"
-    return True, f"first-return structure exact for gaps 3..{cfg.gap_max}"
-
-
-def _suite_injec(cfg) -> tuple[bool, str]:
-    kmax = cfg.kplus_max
-    kp = np.arange(2, kmax + 1, dtype=np.int64)
-    rows = []
-    for kplus in kp:
-        lo = -(-int(kplus) // 3)  # ceil(kp/3): boundary pair included (adjusted)
-        km = np.arange(lo, int(kplus), dtype=np.int64)
-        if cfg.boundary == cdc.ADJUSTED:
-            km = km[3 * km >= kplus]
-        else:
-            km = km[3 * km > kplus]
-        if km.size:
-            rows.append((int(kplus), km))
-    checked = 0
-    for kplus, km in rows:
-        L = kplus - (km + kplus) ** 2 // (8 * km)
-        if np.any(2 * L < kplus - km):
-            return False, f"lower step bound broken at k+={kplus}"
-        eq = np.nonzero(2 * L == kplus - km)[0]
-        if np.any(kplus != 3 * km[eq]):
-            return False, f"unexpected equality case at k+={kplus}"
-        if np.any(L > (kplus + 1) // 2):
-            return False, f"upper step bound broken at k+={kplus}"
-        v = 8 * km * (kplus - L)
-        s = np.sqrt(v.astype(float)).astype(np.int64)
-        while np.any(s * s > v):
-            s[s * s > v] -= 1
-        while np.any((s + 1) * (s + 1) <= v):
-            s[(s + 1) * (s + 1) <= v] += 1
-        ceil_s = s + (s * s < v)
-        signed = kplus + km - ceil_s
-        if np.any(signed < 0) or np.any(signed > 4):
-            return False, f"defect bound broken at k+={kplus}"
-        checked += km.size
-    # two-sided harmonic sums near the split approach log 2
-    hvals = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 60001))])
-
-    def rsum(p, q):
-        return hvals[q] - hvals[p - 1]
-
-    worst = 0.0
-    for km0 in (1000, 1499, 2000, 3000, 5000):
-        for kplus0 in (km0 + 1, (3 * km0) // 2, 2 * km0, 3 * km0):
-            if not kplus0 > km0 or not 3 * km0 >= kplus0:
-                continue
-            L0 = kplus0 - (km0 + kplus0) ** 2 // (8 * km0)
-            mid = (kplus0 + km0) // 2
-            val = rsum(km0, mid) + rsum(kplus0 - L0, -(-(kplus0 + km0) // 2))
-            worst = max(worst, abs(val - math.log(2.0)))
-    if worst > 0.01:
-        return False, f"harmonic split sum off by {worst:.4f}"
-    return True, f"{checked} contracting pairs exact; split sums within {worst:.4f} of log 2"
-
-
-def _suite_codec(cfg) -> tuple[bool, str]:
-    words = {}
-    anomalies = []
-    for gap in range(1, cfg.gap_max + 1):
-        try:
-            w = cdc.encode_block(gap, cfg.boundary)
-        except cdc.FirstReturnStructureError:
-            anomalies.append(gap)
-            continue
-        if cdc.decode_word(w) != gap:
-            return False, f"roundtrip failed at gap {gap}"
-        if w in words:
-            return False, f"gaps {words[w]} and {gap} share a word"
-        words[w] = gap
-    if cfg.boundary == cdc.ADJUSTED:
-        if anomalies:
-            return False, f"unexpected unencodable gaps {anomalies[:8]}"
-        return True, f"gaps 1..{cfg.gap_max} roundtrip, all words distinct"
-    expected = [g for g in range(4, cfg.gap_max + 1) if g & (g - 1) == 0]
-    if anomalies != expected:
-        return False, f"anomaly set {anomalies[:8]}... differs from powers of two"
-    return True, (f"non-anomalous gaps roundtrip; anomalies exactly the "
-                  f"{len(anomalies)} powers of two >= 4")
-
-
-_SUITES = {"region": _suite_region, "fr": _suite_fr,
-           "injec": _suite_injec, "codec": _suite_codec}
-
+# verify
 
 def _run_verify(cfg: ExperimentConfig, out) -> int:
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
-    if any(n not in _SUITES for n in names):
+    names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
+    if any(n not in SUITES for n in names):
         raise ValueError(f"unknown suite {cfg.suite!r}")
     failures = 0
     out.write(f"# boundary={cfg.boundary} gap_max={cfg.gap_max} "
               f"kplus_max={cfg.kplus_max} seed={cfg.seed}\n")
     for name in names:
-        ok, detail = _SUITES[name](cfg)
+        ok, detail = SUITES[name](cfg.gap_max, cfg.kplus_max, cfg.boundary)
         failures += 0 if ok else 1
         out.write(f"{name:8s} {'PASS' if ok else 'FAIL'}  {detail}\n")
     return 1 if failures else 0
@@ -325,9 +195,7 @@ def _run_codec(cfg: ExperimentConfig, out) -> int:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
     if cfg.action == "roundtrip":
-        sub = ExperimentConfig(command="verify", gap_max=cfg.gap_max,
-                               boundary=cfg.boundary, seed=cfg.seed)
-        ok, detail = _suite_codec(sub)
+        ok, detail = SUITES["codec"](cfg.gap_max, cfg.kplus_max, cfg.boundary)
         out.write(f"codec {'PASS' if ok else 'FAIL'}  {detail}\n")
         return 0 if ok else 1
     raise ValueError(f"unknown codec action {cfg.action!r}")
@@ -335,8 +203,8 @@ def _run_codec(cfg: ExperimentConfig, out) -> int:
 
 def _run_report(cfg: ExperimentConfig, out) -> int:
     suites = {}
-    for name, fn in _SUITES.items():
-        ok, detail = fn(cfg)
+    for name, fn in SUITES.items():
+        ok, detail = fn(cfg.gap_max, cfg.kplus_max, cfg.boundary)
         suites[name] = {"pass": ok, "detail": detail}
     scan = ent.singular_limit_scan(Harmonic(1.0), parse_grid(cfg.grid), cfg.tol)
     fibers = cdc.fiber_sfts()
@@ -405,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="structural suites")
-    p.add_argument("--suite", choices=list(_SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
     p.add_argument("--gap-max", dest="gap_max", type=int, default=10000)
     p.add_argument("--kplus-max", dest="kplus_max", type=int, default=2000)
     common(p)

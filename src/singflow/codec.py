@@ -75,38 +75,51 @@ def ceil_sqrt(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Regions and the accelerated step
 
-def region_of(k: GapPair, boundary: str = ADJUSTED) -> int:
-    """Region index 1..4 of a gap pair.
+def _region_step(km, kp, adjusted: bool) -> tuple:
+    """Region 1..4 and step length of the accelerated shift at a gap pair
+    that is not the singular one: R1 (k- = 0) steps 1; R4 (0 < k+ <= k-)
+    steps ceil(k+/2); between them k- < k+ splits at k- vs k+/3, R2 stepping
+    k- and R3 the contracting formula.  The boundary k- = k+/3 goes to R3
+    under the adjusted convention and to R2 under the verbatim one."""
+    if km == 0:
+        return 1, 1
+    if kp <= km:
+        return 4, (kp + 1) // 2
+    if (3 * km < kp) if adjusted else (3 * km <= kp):
+        return 2, km
+    return 3, kp - (km + kp) ** 2 // (8 * km)
 
-    R1: k- = 0.  R4: 0 < k+ <= k-.  Between them k- < k+ splits at k- vs
-    k+/3; the boundary k- = k+/3 goes to R3 under the adjusted convention
-    and to R2 under the verbatim one.
-    """
+
+def region_of(k: GapPair, boundary: str = ADJUSTED) -> int:
+    """Region index 1..4 of a gap pair (see ``_region_step``)."""
     adjusted = _check_boundary(boundary)
     if k.is_singular():
         raise RegionDomainError("the accelerated shift is undefined at the zero sequence")
-    km, kp = k.k_minus, k.k_plus
-    if km == 0:
-        return 1
-    if kp <= km:
-        return 4
-    if adjusted:
-        return 2 if 3 * km < kp else 3
-    return 2 if 3 * km <= kp else 3
+    return _region_step(k.k_minus, k.k_plus, adjusted)[0]
 
 
 def step_length(k: GapPair, boundary: str = ADJUSTED) -> int:
     """Step of the accelerated shift: 1 on R1, k- on R2, the contracting
     formula on R3, ceil(k+/2) on R4."""
-    region = region_of(k, boundary)
-    km, kp = k.k_minus, k.k_plus
-    if region == 1:
-        return 1
-    if region == 2:
-        return km
-    if region == 3:
-        return kp - (km + kp) ** 2 // (8 * km)
-    return (kp + 1) // 2
+    adjusted = _check_boundary(boundary)
+    if k.is_singular():
+        raise RegionDomainError("the accelerated shift is undefined at the zero sequence")
+    return _region_step(k.k_minus, k.k_plus, adjusted)[1]
+
+
+def region_steps(km, kp, boundary: str = ADJUSTED) -> tuple:
+    """Batch form of the region/step law on integer arrays of finite gap
+    pairs (k- >= 0, k+ >= 0): returns int64 arrays (region, step).  A pair
+    with k+ = 0 and k- > 0 lands in R4 with step 0, so a walk that has
+    reached the end of its block stays there."""
+    adjusted = _check_boundary(boundary)
+    km = np.asarray(km, dtype=np.int64)
+    kp = np.asarray(kp, dtype=np.int64)
+    expanding = 3 * km < kp if adjusted else 3 * km <= kp
+    region = np.where(km == 0, 1, np.where(kp <= km, 4, np.where(expanding, 2, 3)))
+    contracting = kp - (km + kp) ** 2 // (8 * np.maximum(km, 1))
+    step = np.choose(region - 1, (1, km, contracting, (kp + 1) // 2))
+    return region, step
 
 
 def accel_step(x: BitSequence, boundary: str = ADJUSTED) -> BitSequence:
@@ -192,71 +205,70 @@ class BlockProfile:
     regions: tuple
 
 
-def _simulate_block(gap: int, boundary: str) -> tuple[list, list, list]:
-    """Integer walk of the accelerated shift across one block: at offset o
-    inside the block the gap pair is (o, gap-o)."""
+def return_profile(gap: int, boundary: str = ADJUSTED) -> BlockProfile:
+    """Walk the S-orbit across one block, where at offset o the gap pair is
+    (o, gap-o), and collect its return data."""
+    if gap < 1:
+        raise ValueError("gap must be a positive integer")
     adjusted = _check_boundary(boundary)
-    offsets, regions, kplus = [], [], []
+    offsets, regions = [], []
     o = 0
     while o < gap:
-        km, kp = o, gap - o
-        if km == 0:
-            reg, step = 1, 1
-        elif kp <= km:
-            reg, step = 4, (kp + 1) // 2
-        elif (3 * km < kp) if adjusted else (3 * km <= kp):
-            reg, step = 2, km
-        else:
-            reg, step = 3, kp - (km + kp) ** 2 // (8 * km)
+        reg, step = _region_step(o, gap - o, adjusted)
         offsets.append(o)
         regions.append(reg)
-        kplus.append(kp)
         o += step
     if o != gap:
         raise AssertionError(f"orbit overshot the block: gap={gap}")
-    return offsets, regions, kplus
-
-
-def return_profile(gap: int, boundary: str = ADJUSTED) -> BlockProfile:
-    """Simulate the S-orbit across one block and collect its return data."""
-    if gap < 1:
-        raise ValueError("gap must be a positive integer")
-    offsets, regions, kplus = _simulate_block(gap, boundary)
     p = len(offsets)
     r = regions.index(3) if 3 in regions else None
     eps = {}
-    if r is not None:
-        eps = {q: kplus[q] & 1 for q in range(r + 1, p - 1)}
-    word = _assemble_word(gap, p, r, regions, kplus, eps)
-    return BlockProfile(gap, p, r, eps, word,
-                        tuple(offsets) + (gap,), tuple(regions))
-
-
-def _assemble_word(gap, p, r, regions, kplus, eps):
     if gap <= 2:
-        return tuple(letter(y, "x") for y in regions)
-    if r is None:
-        return None
-    zs: list = ["x"] * p
-    km_r = 1 << (r - 1)
-    z1 = gap - ceil_sqrt(8 * km_r * kplus[r + 1])
-    if not 0 <= z1 <= 4:
-        raise AssertionError(f"z1 out of range for gap {gap}: {z1}")
-    zs[0] = z1
-    for i in range(0, p - 2 - r):
-        zs[p - 2 * i - 1] = eps[p - 2 - i]
-    return tuple(letter(y, z) for y, z in zip(regions, zs))
+        word = tuple(_LETTERS[y, "x"] for y in regions)
+    elif r is None:
+        word = None
+    else:
+        eps = {q: (gap - offsets[q]) & 1 for q in range(r + 1, p - 1)}
+        z1 = gap - ceil_sqrt(8 * (1 << (r - 1)) * (gap - offsets[r + 1]))
+        if not 0 <= z1 <= 4:
+            raise AssertionError(f"z1 out of range for gap {gap}: {z1}")
+        # z1 leads; the halving parities fill every other slot counted back
+        # from the end, the latest parity in the last slot
+        zs = [z1] + ["x"] * (p - 1)
+        zs[2 * r + 5 - p::2] = eps.values()
+        word = tuple(map(_LETTERS.__getitem__, zip(regions, zs)))
+    offsets.append(gap)
+    return BlockProfile(gap, p, r, eps, word, tuple(offsets), tuple(regions))
+
+
+def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
+    """Walks of the accelerated shift across many blocks, run in lockstep.
+
+    Returns int64 arrays (offsets, regions) with one row per gap: row i
+    holds ``return_profile(gaps[i]).offsets`` padded on the right with the
+    gap, and its ``regions`` padded with 0.  The walk takes about
+    2 log2(max gap) iterations whatever the number of gaps.  Gaps stay
+    below 2^30, so that 8 k- k+ <= 2 gap^2 fits in int64.
+    """
+    gaps = np.asarray(gaps, dtype=np.int64)
+    if gaps.ndim != 1 or not gaps.size or gaps.min() < 1 or gaps.max() >= 1 << 30:
+        raise ValueError("gaps must be a nonempty sequence of integers in 1..2^30-1")
+    o = np.zeros_like(gaps)
+    offsets, regions = [], []
+    while (live := o < gaps).any():
+        region, step = region_steps(o, gaps - o, boundary)
+        offsets.append(o)
+        regions.append(np.where(live, region, 0))
+        o = o + step
+    if (o != gaps).any():
+        raise AssertionError(f"orbit overshot the block: gap={gaps[o != gaps][0]}")
+    offsets.append(o)
+    return np.stack(offsets, axis=1), np.stack(regions, axis=1)
 
 
 def encode_block(gap: int, boundary: str = ADJUSTED) -> tuple:
     """Code word of the block 1 0^(gap-1)."""
-    if gap < 1:
-        raise ValueError("gap must be a positive integer")
-    offsets, regions, kplus = _simulate_block(gap, boundary)
-    p = len(offsets)
-    r = regions.index(3) if 3 in regions else None
-    eps = {q: kplus[q] & 1 for q in range(r + 1, p - 1)} if r is not None else {}
-    word = _assemble_word(gap, p, r, regions, kplus, eps)
+    word = return_profile(gap, boundary).word
     if word is None:
         raise FirstReturnStructureError(
             f"gap {gap} has no R3 visit under the {boundary!r} boundary")
@@ -294,20 +306,21 @@ def decode_word(word) -> int:
     z1 = letters[0].z
     if z1 == "x" or not 0 <= z1 <= 4:
         raise DecodeError("z1-range", f"z1 must be an integer 0..4, got {z1!r}")
-    slots = {p - 2 * i: p - 2 - i for i in range(0, p - 2 - r)}
-    eps = {}
+    # parity slots: every other position from 2r+6-p up to p, holding the
+    # halving parities of k+ at steps r+1, r+2, ... in order
+    first = 2 * r + 6 - p
+    zs = [l.z for l in letters]
     for pos in range(2, p + 1):
-        z = letters[pos - 1].z
-        if pos in slots:
+        z = zs[pos - 1]
+        if pos >= first and (p - pos) % 2 == 0:
             if z not in (0, 1):
                 raise DecodeError("epsilon-bit",
                                   f"slot {pos} must carry a parity bit, got {z!r}")
-            eps[slots[pos]] = z
         elif z != "x":
             raise DecodeError("z-extraneous", f"slot {pos} must be x, got {z!r}")
     kp_next = 1 << (p - r - 2)
-    for i in range(0, p - r - 2):
-        kp_next += eps[r + 1 + i] << i
+    for i, z in enumerate(zs[first - 1::2]):
+        kp_next += z << i
     return z1 + ceil_sqrt(8 * (1 << (r - 1)) * kp_next)
 
 
@@ -457,6 +470,14 @@ def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
     return SymbolSequence(tuple(letters), -origin_index, wl, wr)
 
 
+def _cycle_bits(u: SymbolSequence, leaders: list) -> tuple:
+    """Bits of the blocks whose words run between consecutive leaders."""
+    bits: list = []
+    for a, b in zip(leaders, leaders[1:]):
+        bits += [1] + [0] * (decode_word(u.segment(a, b)) - 1)
+    return tuple(bits)
+
+
 def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     """Left inverse of encode_sequence: block words decode to blocks, sides
     without y = 1 letters decode to zeros positioned by the parity rules,
@@ -489,7 +510,7 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
             q = -i0 + 1
             anchor_letter, anchor_bit = i0, 0 if q == 1 else -(1 << (q - 2))
         else:
-            gap0 = decode_word(tuple(u.at(c) for c in range(i0, j1)))
+            gap0 = decode_word(u.segment(i0, j1))
             prof0 = return_profile(gap0, boundary)
             q = -i0
             if q >= prof0.p:
@@ -499,7 +520,7 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     else:
         i1 = min(onepos)
         ctx_lo = min(lo, i1 - 2 * (i1 - 0) - 4)
-        ctx = tuple(u.at(c) for c in range(ctx_lo, i1 + 1))
+        ctx = u.segment(ctx_lo, i1 + 1)
         kpair = decode_position(ctx, 0 - ctx_lo, no_ones_left=True, boundary=boundary)
         anchor_letter, anchor_bit = i1, kpair.k_plus
 
@@ -507,19 +528,14 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     idx = onepos.index(anchor_letter)
     bit_at = {anchor_letter: anchor_bit}
     for a, b in zip(onepos[idx:], onepos[idx + 1:]):
-        bit_at[b] = bit_at[a] + decode_word(tuple(u.at(c) for c in range(a, b)))
+        bit_at[b] = bit_at[a] + decode_word(u.segment(a, b))
     for b, a in zip(reversed(onepos[:idx + 1]), reversed(onepos[:idx])):
-        bit_at[a] = bit_at[b] - decode_word(tuple(u.at(c) for c in range(a, b)))
+        bit_at[a] = bit_at[b] - decode_word(u.segment(a, b))
 
     if right_has:
-        p_right = min(c for c in onepos if c >= max(u.end, 0) + per_r)
-        cyc = [c for c in onepos if p_right <= c <= p_right + per_r]
-        bits_r: list = []
-        for a, b in zip(cyc, cyc[1:]):
-            g = decode_word(tuple(u.at(c) for c in range(a, b)))
-            bits_r.extend([1] + [0] * (g - 1))
-        right_tail = tuple(bits_r)
-        right_edge = p_right
+        right_edge = min(c for c in onepos if c >= max(u.end, 0) + per_r)
+        right_tail = _cycle_bits(u, [c for c in onepos
+                                     if right_edge <= c <= right_edge + per_r])
     else:
         for c in range(max(onepos) + 1, hi + 1):
             if u.at(c).y != 2:
@@ -529,14 +545,9 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
         right_edge = None
 
     if left_has:
-        q_left = max(c for c in onepos if c <= min(u.start, 0) - per_l)
-        cyc = [c for c in onepos if q_left - per_l <= c <= q_left]
-        bits_l: list = []
-        for a, b in zip(cyc, cyc[1:]):
-            g = decode_word(tuple(u.at(c) for c in range(a, b)))
-            bits_l.extend([1] + [0] * (g - 1))
-        left_tail = tuple(bits_l)
-        left_edge = q_left
+        left_edge = max(c for c in onepos if c <= min(u.start, 0) - per_l)
+        left_tail = _cycle_bits(u, [c for c in onepos
+                                    if left_edge - per_l <= c <= left_edge])
     else:
         for c in range(lo, min(onepos)):
             if u.at(c).y != 4:

@@ -442,14 +442,14 @@ class RoofFunction:
         return f"<RoofFunction {self.spec()}>"
 
 
-def roof_eval(f: RoofFunction, x: BitSequence) -> float:
-    """f(x); gap-profile roofs return g(k_x) with k_x the distance to the
-    nearest 1 by absolute value, 0 exactly at the all-zero sequence."""
+def roof_eval(f: RoofFunction, x: BitSequence, pos: int = 0) -> float:
+    """f(T^pos x); gap-profile roofs return g(k) with k the distance from
+    coordinate pos to the nearest 1, 0 exactly at the all-zero sequence."""
     if f.is_constant:
         return f.constant
-    if x.at(0) == 1:
+    if x.at(pos) == 1:
         return f.profile.g0
-    k = x.gap_pair_at(0)
+    k = x.gap_pair_at(pos)
     return f.value_at_gap(min(k.k_minus, k.k_plus))
 
 

@@ -54,16 +54,21 @@ class SymbolSequence:
         right = _primitive(tuple(right))
         if not left or not right:
             raise ValueError("tail words must be nonempty")
-        # Absorb window symbols the tails already predict.  Absorbing one
-        # symbol rotates the adjacent tail word so its anchoring at the
-        # window edge stays consistent.
-        while window and window[0] == left[0]:
-            window = window[1:]
-            start += 1
-            left = left[1:] + left[:1]
-        while window and window[-1] == right[-1]:
-            window = window[:-1]
-            right = right[-1:] + right[:-1]
+        # Absorb window symbols the tails already predict.  Absorbing i
+        # symbols rotates the adjacent tail word by i so its anchoring at the
+        # window edge stays consistent; count them first, then cut once.
+        n, i = len(left), 0
+        while i < len(window) and window[i] == left[i % n]:
+            i += 1
+        if i:
+            window, start = window[i:], start + i
+            left = left[i % n:] + left[:i % n]
+        n, j, m = len(right), 0, len(window)
+        while j < m and window[m - 1 - j] == right[-1 - j % n]:
+            j += 1
+        if j:
+            window = window[:m - j]
+            right = right[n - j % n:] + right[:n - j % n]
         if not window:
             start, left, right = self._normalize_empty(start, left, right)
         object.__setattr__(self, "window", window)
@@ -317,7 +322,10 @@ def parse_sequence_literal(text: str) -> BitSequence:
     start = 0
     if "@" in body:
         body, _, tail = body.rpartition("@")
-        start = int(tail.strip())
+        try:
+            start = int(tail.strip())
+        except ValueError:
+            raise SequenceFormatError(f"START must be an integer, got {tail!r}") from None
     parts = body.split("|")
     if len(parts) != 3:
         raise SequenceFormatError("literal must have the form LEFT|WORD|RIGHT[@START]")

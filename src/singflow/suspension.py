@@ -80,15 +80,6 @@ def _kadd(s: float, c: float, x: float) -> tuple[float, float]:
     return t, (t - s) - y
 
 
-def _roof_at(f: RoofFunction, x: BitSequence, pos: int) -> float:
-    if f.is_constant:
-        return f.constant
-    if x.at(pos) == 1:
-        return f.profile.g0
-    k = x.gap_pair_at(pos)
-    return f.value_at_gap(min(k.k_minus, k.k_plus))
-
-
 def flow(p: FlowPoint, t: float, f: RoofFunction,
          max_crossings: int = MAX_CROSSINGS) -> FlowPoint:
     """Time-t image of p under the suspension flow, in canonical form.
@@ -102,7 +93,7 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
         return p
     pos = 0
     h, c = _kadd(p.height, 0.0, t)
-    roof = _roof_at(f, base, pos)
+    roof = roof_eval(f, base, pos)
     crossings = 0
     while h >= roof:
         h, c = _kadd(h, c, -roof)
@@ -110,13 +101,13 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
         crossings += 1
         if crossings > max_crossings:
             raise FlowResourceError(f"more than {max_crossings} roof crossings")
-        roof = _roof_at(f, base, pos)
+        roof = roof_eval(f, base, pos)
     while h < 0.0:
         pos -= 1
         crossings += 1
         if crossings > max_crossings:
             raise FlowResourceError(f"more than {max_crossings} roof crossings")
-        roof = _roof_at(f, base, pos)
+        roof = roof_eval(f, base, pos)
         h, c = _kadd(h, c, roof)
     h = h + c
     if h < 0.0:  # compensation dust

@@ -1,0 +1,196 @@
+"""Exhaustive structural suites of the accelerated-shift block codec.
+
+Each suite maps (gap_max, kplus_max, boundary) to (ok, detail).  The suites
+run on whole arrays, through the batch law ``codec.region_steps`` and the
+lockstep walks ``codec.return_profiles``, in chunks of about ``_CHUNK``
+elements so memory stays flat.  A failure names the first failing pair or
+gap of a plain loop over the range, checks taken in the documented order.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import codec as cdc
+from .sequences import GapPair
+
+_CHUNK = 1 << 15
+
+
+def ceil_sqrt_array(v):
+    """Exact ceil(sqrt(v)) for an int64 array with 0 <= v < 2^62: the float
+    root is within 2^-21 of the true one there, so one correction each way
+    suffices."""
+    v = np.asarray(v, dtype=np.int64)
+    s = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    s -= s * s > v
+    s += (s + 1) * (s + 1) <= v
+    return s + (s * s < v)
+
+
+def _ranges(lo: int, hi: int, width: int):
+    """lo..hi as consecutive int64 arrays of about _CHUNK // width items."""
+    size = max(1, _CHUNK // max(width, 1))
+    for a in range(lo, hi + 1, size):
+        yield np.arange(a, min(a + size, hi + 1), dtype=np.int64)
+
+
+class _Walks:
+    """Lockstep walks across a chunk of gaps.  Per gap: the return time p,
+    the first R3 index r (0 if none), whether its word has a z1 letter
+    (``coded``) and z1; per offset: k+."""
+
+    def __init__(self, gaps, boundary: str):
+        self.gaps = gaps
+        self.offsets, self.regions = cdc.return_profiles(gaps, boundary)
+        is3 = self.regions == 3
+        self.p, self.has3, self.r = np.count_nonzero(self.regions, axis=1), \
+            is3.any(axis=1), is3.argmax(axis=1)
+        self.kp = gaps[:, None] - self.offsets
+        self.coded = self.has3 & (gaps > 2)
+        nxt = np.take_along_axis(self.kp, np.minimum(self.r + 1, is3.shape[1])[:, None], 1)
+        self.z1 = gaps - ceil_sqrt_array(8 * (1 << np.maximum(self.r - 1, 0)) * nxt[:, 0])
+        self.z1_bad = self.coded & ((self.z1 < 0) | (self.z1 > 4))
+
+    @classmethod
+    def chunks(cls, lo: int, hi: int, boundary: str):
+        # a block walk takes at most about 2 log2(gap) + 2 steps
+        return (cls(g, boundary) for g in _ranges(lo, hi, 2 * max(hi, 1).bit_length() + 2))
+
+    def z1_error(self, i: int) -> AssertionError:
+        """What ``return_profile`` raises for the gap at index i."""
+        return AssertionError(f"z1 out of range for gap {self.gaps[i]}: {self.z1[i]}")
+
+
+def region_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
+    """Each finite pair of the grid (k- outer, k+ inner) lies in the region
+    its coordinates name; the infinite rays lie in R1, R2 and R4."""
+    limit = min(gap_max, 2000)
+    kp = np.arange(1, limit + 1, dtype=np.int64)
+    for km in _ranges(0, limit, limit):
+        km = km[:, None]
+        r, _ = cdc.region_steps(km, kp, boundary)
+        ok = np.where(km == 0, r == 1, np.where(kp <= km, r == 4, (r == 2) | (r == 3)))
+        if not ok.all():
+            i, j = np.unravel_index(np.argmin(ok), ok.shape)
+            return False, f"pair ({km[i, 0]},{kp[j]}) fell into R{r[i, j]}"
+    for k, want in ((GapPair(0, math.inf), 1), (GapPair(5, math.inf), 2),
+                    (GapPair(math.inf, 7), 4)):
+        if cdc.region_of(k, boundary) != want:
+            return False, f"infinite pair {k} misclassified"
+    return True, f"partition exhaustive to {limit}, infinite rays included"
+
+
+def fr_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
+    """For each gap 3..gap_max: the regions R1 R2^(r-1) R3 R4^(p-1-r), offset
+    2^(q-1) at steps q <= r, k+ equal to its parity expansion at steps q > r,
+    and the return-time bound 2r >= p-3."""
+    bad = []
+    for wk in _Walks.chunks(3, gap_max, boundary):
+        bad += wk.gaps[~wk.has3].tolist()
+        p, r, kp = wk.p, wk.r, wk.kp
+        n, w = wk.regions.shape
+        t, pc, rc = np.arange(w), p[:, None], r[:, None]
+        pattern = np.where(t == 0, 1, np.where(t < rc, 2, np.where(t == rc, 3, 4)))
+        pattern_bad = ((wk.regions != pattern) & (t < pc)).any(axis=1)
+        doubling = (t >= 1) & (t <= rc) & (wk.offsets[:, :w] != 1 << np.maximum(t - 1, 0))
+        # k+ at step q must be 2^(p-1-q) + sum_i eps[q+i] 2^i, built from q = p-1 down
+        parity, val = np.zeros((n, w), dtype=bool), np.zeros(n, dtype=np.int64)
+        for q in range(w - 1, 0, -1):
+            val = np.where(q == p - 1, 1, 2 * val + (kp[:, q] & 1))
+            parity[:, q] = (q > r) & (q < p) & (kp[:, q] != val)
+        failed = wk.has3 & (pattern_bad | doubling.any(axis=1) | parity.any(axis=1)
+                            | (2 * r < p - 3)) | wk.z1_bad
+        if failed.any():
+            i = failed.argmax()
+            gap = wk.gaps[i]
+            if wk.z1_bad[i]:
+                raise wk.z1_error(i)
+            if pattern_bad[i]:
+                return False, f"gap {gap}: region pattern {tuple(wk.regions[i, :p[i]].tolist())}"
+            if doubling[i].any():
+                return False, f"gap {gap}: doubling broken at step {doubling[i].argmax()}"
+            if parity[i].any():
+                return False, f"gap {gap}: parity expansion broken at step {parity[i].argmax()}"
+            return False, f"gap {gap}: return time bound broken (p={p[i]}, r={r[i]})"
+    if bad:
+        return False, f"no R3 visit at gaps {bad[:8]}{'...' if len(bad) > 8 else ''}"
+    return True, f"first-return structure exact for gaps 3..{gap_max}"
+
+
+_INJEC_FAILURES = ("lower step bound broken", "unexpected equality case",
+                   "upper step bound broken", "defect bound broken")
+
+
+def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
+    """Row by row in k+ <= kplus_max, on every R3 pair: the step L obeys
+    (k+ - k-)/2 <= L, with equality only at k+ = 3k-, L <= ceil(k+/2), and
+    the defect k+ + k- - ceil(sqrt(8 k- (k+ - L))) lies in 0..4.  Then
+    two-sided harmonic sums near the split approach log 2."""
+    checked = 0
+    for kps in _ranges(2, kplus_max, 2 * kplus_max // 3):
+        # R3 rows: k+/3 <= k- < k+, the pair k- = k+/3 only when adjusted
+        los = -(-kps // 3) if boundary == cdc.ADJUSTED else kps // 3 + 1
+        kp = np.repeat(kps, kps - los)
+        km = np.arange(kp.size) + np.repeat(los - np.searchsorted(kp, kps), kps - los)
+        _, L = cdc.region_steps(km, kp, boundary)
+        signed = kp + km - ceil_sqrt_array(8 * km * (kp - L))
+        fails = np.stack([2 * L < kp - km, (2 * L == kp - km) & (kp != 3 * km),
+                          L > (kp + 1) // 2, (signed < 0) | (signed > 4)])
+        if fails.any():
+            kplus = kp[fails.any(axis=0).argmax()]
+            check = fails[:, kp == kplus].any(axis=1).argmax()
+            return False, f"{_INJEC_FAILURES[check]} at k+={kplus}"
+        checked += kp.size
+    h = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 60001))])
+    base = np.array([1000, 1499, 2000, 3000, 5000])
+    km0 = np.repeat(base, 4)
+    kp0 = np.stack([base + 1, 3 * base // 2, 2 * base, 3 * base], axis=1).ravel()
+    _, L0 = cdc.region_steps(km0, kp0)  # all in R3 under the adjusted boundary
+    split = ((h[(kp0 + km0) // 2] - h[km0 - 1])
+             + (h[-(-(kp0 + km0) // 2)] - h[kp0 - L0 - 1]))
+    worst = np.abs(split - math.log(2.0)).max()
+    if worst > 0.01:
+        return False, f"harmonic split sum off by {worst:.4f}"
+    return True, f"{checked} contracting pairs exact; split sums within {worst:.4f} of log 2"
+
+
+def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
+    """The scalar ``decode_word``, the independent inverse, maps the word of
+    each gap 1..gap_max, assembled from the lockstep walks, back to the gap;
+    under the verbatim boundary exactly the powers of two >= 4 have no word.
+    decode(word(g)) == g for every g already makes the words distinct, so no
+    table of words is kept."""
+    anomalies = []
+    for wk in _Walks.chunks(1, gap_max, boundary):
+        # z indexes (0, 1, 2, 3, 4, x): z1 first, then x except in every other
+        # slot counted back from the end, which holds the parity of k+ at
+        # step (p - 3 + slot) / 2
+        c, pc, rc, coded = np.arange(wk.regions.shape[1]), wk.p[:, None], wk.r[:, None], \
+            wk.coded[:, None]
+        slots = coded & (c < pc) & ((pc - 1 - c) % 2 == 0) & (c >= 2 * rc + 5 - pc)
+        eps = np.take_along_axis(wk.kp, np.clip((pc - 3 + c) // 2, 0, c.size), 1) & 1
+        z = np.where(slots, eps, np.where(coded & (c == 0), wk.z1[:, None], 5))
+        words = ((wk.regions - 1) * 6 + z).tolist()
+        encodable = (wk.coded | (wk.gaps <= 2)).tolist()
+        for i, (gap, p) in enumerate(zip(wk.gaps.tolist(), wk.p.tolist())):
+            if not encodable[i]:
+                anomalies.append(gap)
+            elif wk.z1_bad[i]:
+                raise wk.z1_error(i)
+            elif cdc.decode_word(tuple(map(cdc.ALPHABET.__getitem__, words[i][:p]))) != gap:
+                return False, f"roundtrip failed at gap {gap}"
+    if boundary == cdc.ADJUSTED:
+        if anomalies:
+            return False, f"unexpected unencodable gaps {anomalies[:8]}"
+        return True, f"gaps 1..{gap_max} roundtrip, all words distinct"
+    if anomalies != [1 << j for j in range(2, max(gap_max, 0).bit_length())]:
+        return False, f"anomaly set {anomalies[:8]}... differs from powers of two"
+    return True, (f"non-anomalous gaps roundtrip; anomalies exactly the "
+                  f"{len(anomalies)} powers of two >= 4")
+
+
+SUITES = {"region": region_suite, "fr": fr_suite,
+          "injec": injec_suite, "codec": codec_suite}

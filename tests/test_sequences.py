@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from singflow import (BitSequence, SequenceFormatError, format_sequence_literal,
-                      gap_pair, parse_sequence_literal, seq_distance, shift)
+from singflow import (BitSequence, SequenceFormatError, SymbolSequence,
+                      format_sequence_literal, gap_pair, parse_sequence_literal,
+                      seq_distance, shift)
+from singflow.sequences import _primitive
 
 INF = math.inf
 
@@ -159,6 +161,55 @@ def test_literal_errors():
         parse_sequence_literal("1*|1|0*")
     with pytest.raises(SequenceFormatError):
         parse_sequence_literal("0*|1")
+
+
+@pytest.mark.parametrize("text", ["0*|1|0*@x", "0*|1|0*@", "0*|1|0*@1.5", "0*|1|0*@ -"])
+def test_literal_malformed_start_is_typed(text):
+    with pytest.raises(SequenceFormatError):
+        parse_sequence_literal(text)
+
+
+def _canonical_by_rotation(window, start, left, right):
+    """Canonical fields by absorbing one window symbol at a time, rotating
+    the tail word after each one."""
+    window, left, right = tuple(window), _primitive(tuple(left)), _primitive(tuple(right))
+    while window and window[0] == left[0]:
+        window = window[1:]
+        start += 1
+        left = left[1:] + left[:1]
+    while window and window[-1] == right[-1]:
+        window = window[:-1]
+        right = right[-1:] + right[:-1]
+    if not window:
+        start, left, right = SymbolSequence._normalize_empty(start, left, right)
+    return window, start, left, right
+
+
+def _fields(x):
+    return x.window, x.start, x.left, x.right
+
+
+def test_window_absorption_matches_rotation_on_short_inputs():
+    rng = np.random.default_rng(17)
+    for _ in range(5000):
+        k = int(rng.integers(2, 4))
+        word = lambda n: tuple(int(s) for s in rng.integers(0, k, size=n))
+        args = (word(int(rng.integers(0, 14))), int(rng.integers(-6, 6)),
+                word(int(rng.integers(1, 5))), word(int(rng.integers(1, 5))))
+        assert _fields(SymbolSequence(*args)) == _canonical_by_rotation(*args)
+
+
+def test_window_absorption_matches_rotation_on_long_windows():
+    rng = np.random.default_rng(23)
+    for left, right in [((1, 0, 0), (0, 1)), ((0,), (1, 1, 0)), ((1, 0), (1, 0))]:
+        for reps in (1000, 3001):
+            core = tuple(int(b) for b in rng.integers(0, 2, size=50))
+            for middle in (core, ()):
+                # a window that starts and ends inside the tails' periods
+                window = left[1:] + left * reps + middle + right * reps + right[:1]
+                args = (window, -7, left, right)
+                assert _fields(SymbolSequence(*args)) == _canonical_by_rotation(*args)
+                assert _fields(BitSequence(*args)) == _canonical_by_rotation(*args)
 
 
 def test_bit_validation():

@@ -1,0 +1,151 @@
+"""The batch region/step kernel, the lockstep block walks and the verify
+suites built on them.
+
+The kernel is compared with a region/step law written out here and with the
+library's scalar law; the lockstep walks with the scalar ``return_profile``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from singflow import ADJUSTED, PAPER, return_profile
+from singflow import codec as cdc
+from singflow.cli import main
+from singflow.verify import SUITES, ceil_sqrt_array
+
+
+def reference_law(km: int, kp: int, boundary: str) -> tuple:
+    if km == 0:
+        return 1, 1
+    if kp <= km:
+        return 4, -(-kp // 2)
+    if 3 * km < kp or (boundary == PAPER and 3 * km == kp):
+        return 2, km
+    return 3, kp - (km + kp) * (km + kp) // (8 * km)
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_region_steps_match_the_scalar_law_on_the_full_grid(boundary):
+    km, kp = np.meshgrid(np.arange(0, 601), np.arange(1, 601), indexing="ij")
+    region, step = cdc.region_steps(km, kp, boundary)
+    adjusted = boundary == ADJUSTED
+    got = list(zip(region.ravel().tolist(), step.ravel().tolist()))
+    pairs = list(zip(km.ravel().tolist(), kp.ravel().tolist()))
+    assert got == [reference_law(a, b, boundary) for a, b in pairs]
+    assert got == [cdc._region_step(a, b, adjusted) for a, b in pairs]
+
+
+def test_region_steps_holds_a_finished_walk_in_place():
+    region, step = cdc.region_steps([5, 1], [0, 0])
+    assert step.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_return_profiles_match_return_profile(boundary):
+    top = 20000
+    offsets, regions = cdc.return_profiles(range(1, top + 1), boundary)
+    for gap, row_o, row_r in zip(range(1, top + 1), offsets.tolist(), regions.tolist()):
+        prof = return_profile(gap, boundary)
+        p = prof.p
+        assert tuple(row_o[:p + 1]) == prof.offsets
+        assert tuple(row_r[:p]) == prof.regions
+        assert set(row_o[p + 1:]) <= {gap} and set(row_r[p:]) <= {0}
+        assert (row_r.index(3) if 3 in row_r else None) == prof.r
+
+
+def test_return_profiles_rejects_bad_gaps():
+    for gaps in ([], [3, 0], [[3]], [5, 1 << 30]):
+        with pytest.raises(ValueError):
+            cdc.return_profiles(gaps)
+
+
+def test_ceil_sqrt_array_exact_near_squares():
+    roots = sorted({k for e in range(0, 32) for k in (1 << e, (1 << e) - 1, (1 << e) + 1)}
+                   | set(range(1, 3000)) | {3037000498, 2 ** 31 - 1})
+    roots = [k for k in roots if 0 < k and k * k + 1 < 2 ** 62]
+    n = np.array([k * k + d for k in roots for d in (-1, 0, 1) if k * k + d > 0],
+                 dtype=np.int64)
+    want = [1 + math.isqrt(int(v) - 1) for v in n]
+    assert ceil_sqrt_array(n).tolist() == want
+    assert ceil_sqrt_array(np.array([0, 1, 2])).tolist() == [0, 1, 2]
+
+
+def _verify_text(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_verify_all_prints_the_recorded_text(capsys):
+    code, out = _verify_text(["verify", "--suite", "all", "--gap-max", "3000",
+                              "--kplus-max", "500"], capsys)
+    assert code == 0
+    assert out == (
+        "# boundary=adjusted gap_max=3000 kplus_max=500 seed=2024\n"
+        "region   PASS  partition exhaustive to 2000, infinite rays included\n"
+        "fr       PASS  first-return structure exact for gaps 3..3000\n"
+        "injec    PASS  83333 contracting pairs exact; split sums within 0.0035 of log 2\n"
+        "codec    PASS  gaps 1..3000 roundtrip, all words distinct\n")
+
+
+def test_verify_all_paper_boundary_prints_the_recorded_text(capsys):
+    code, out = _verify_text(["verify", "--suite", "all", "--gap-max", "3000",
+                              "--kplus-max", "500", "--boundary", "paper"], capsys)
+    assert code == 1
+    assert out == (
+        "# boundary=paper gap_max=3000 kplus_max=500 seed=2024\n"
+        "region   PASS  partition exhaustive to 2000, infinite rays included\n"
+        "fr       FAIL  no R3 visit at gaps [4, 8, 16, 32, 64, 128, 256, 512]...\n"
+        "injec    PASS  83167 contracting pairs exact; split sums within 0.0035 of log 2\n"
+        "codec    PASS  non-anomalous gaps roundtrip; anomalies exactly the "
+        "10 powers of two >= 4\n")
+
+
+@pytest.mark.parametrize("gap_max, kplus_max", [(-1, -1), (0, 0), (1, 1), (2, 2), (5, 3)])
+def test_suites_on_tiny_ranges(gap_max, kplus_max):
+    results = {name: fn(gap_max, kplus_max, ADJUSTED) for name, fn in SUITES.items()}
+    assert all(ok for ok, _ in results.values())
+    assert results["fr"][1] == f"first-return structure exact for gaps 3..{gap_max}"
+    assert results["codec"][1] == f"gaps 1..{gap_max} roundtrip, all words distinct"
+
+
+LAW = cdc.region_steps
+
+
+def _floor_halving(km, kp, boundary=ADJUSTED):
+    """The law with R4 stepping floor(k+/2) instead of ceil(k+/2)."""
+    region, step = LAW(km, kp, boundary)
+    kp = np.asarray(kp)
+    return region, np.where(region == 4, np.maximum(kp // 2, np.minimum(kp, 1)), step)
+
+
+def _long_r3_step(km, kp, boundary=ADJUSTED):
+    """The law with the R3 step one longer whenever 7 divides k+."""
+    region, step = LAW(km, kp, boundary)
+    kp = np.asarray(kp)
+    return region, np.where(region == 3, np.minimum(step + (kp % 7 == 0), kp), step)
+
+
+@pytest.mark.parametrize("law, expected", [
+    (_floor_halving, {"fr": "gap 7: parity expansion broken at step 3",
+                      "codec": "roundtrip failed at gap 7"}),
+    (_long_r3_step, {"injec": "upper step bound broken at k+=7"}),
+])
+def test_suites_report_the_first_failure_of_a_broken_law(monkeypatch, law, expected):
+    monkeypatch.setattr(cdc, "region_steps", law)
+    for name, fn in SUITES.items():
+        ok, detail = fn(3000, 300, ADJUSTED)
+        if name in expected:
+            assert (ok, detail) == (False, expected[name])
+        else:
+            assert ok, detail
+
+
+def test_region_suite_reports_the_first_misplaced_pair(monkeypatch):
+    def law(km, kp, boundary=ADJUSTED):
+        region, step = LAW(km, kp, boundary)
+        return np.where((km == 37) & ((kp == 200) | (kp == 300)), 4, region), step
+
+    monkeypatch.setattr(cdc, "region_steps", law)
+    assert SUITES["region"](350, 0, ADJUSTED) == (False, "pair (37,200) fell into R4")
