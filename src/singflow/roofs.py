@@ -86,8 +86,8 @@ class Harmonic(GapProfile):
     series_kind = "closed_form"
 
     def __init__(self, l: float = 1.0, g0: float = 1.0):
-        if l <= 0:
-            raise ValueError("harmonic scale must be positive")
+        if not 0 < l < INF:
+            raise ValueError("harmonic scale must be positive and finite")
         self.l = float(l)
         self.g0 = float(g0)
 
@@ -117,8 +117,8 @@ class Power(GapProfile):
     series_kind = "closed_form"  # polylogarithm
 
     def __init__(self, alpha: float, g0: float = 1.0):
-        if alpha <= 0:
-            raise ValueError("power exponent must be positive")
+        if not 0 < alpha < INF:
+            raise ValueError("power exponent must be positive and finite")
         self.alpha = float(alpha)
         self.g0 = float(g0)
 
@@ -185,8 +185,8 @@ class Geometric(GapProfile):
     def __init__(self, rho: float, c: float = 1.0, g0: float = 1.0):
         if not 0 < rho < 1:
             raise ValueError("geometric ratio must lie in (0,1)")
-        if c <= 0:
-            raise ValueError("geometric scale must be positive")
+        if not 0 < c < INF:
+            raise ValueError("geometric scale must be positive and finite")
         self.rho = float(rho)
         self.c = float(c)
         self.g0 = float(g0)
@@ -216,8 +216,8 @@ class ConstantProfile(GapProfile):
     series_kind = "closed_form"
 
     def __init__(self, c: float, g0: float | None = None):
-        if c <= 0:
-            raise ValueError("constant profile must be positive")
+        if not 0 < c < INF:
+            raise ValueError("constant profile must be positive and finite")
         self.c = float(c)
         self.g0 = float(c if g0 is None else g0)
 
@@ -315,8 +315,8 @@ class Truncated(GapProfile):
     """Pointwise truncation min(g(k), a/k)."""
 
     def __init__(self, base: GapProfile, a: float):
-        if a <= 0:
-            raise ValueError("truncation level must be positive")
+        if not 0 < a < INF:
+            raise ValueError("truncation level must be positive and finite")
         if isinstance(base, Geometric):
             raise TypeError("truncation needs a base with monotone k*g(k)")
         if isinstance(base, Table):
@@ -397,8 +397,8 @@ class RoofFunction:
     def __init__(self, *, constant: float | None = None, profile: GapProfile | None = None):
         if (constant is None) == (profile is None):
             raise ValueError("exactly one of constant/profile must be given")
-        if constant is not None and constant <= 0:
-            raise ValueError("constant roofs must be strictly positive")
+        if constant is not None and not 0 < constant < INF:
+            raise ValueError("constant roofs must be positive and finite")
         self.constant = float(constant) if constant is not None else None
         self.profile = profile
 

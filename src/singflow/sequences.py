@@ -32,8 +32,10 @@ def _primitive(word: tuple) -> tuple:
     return word
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+def _tile(word: tuple, i: int, j: int) -> tuple:
+    """word[k % len(word)] for k in i .. j-1; empty if j <= i."""
+    k = i % len(word)
+    return (word * ((j - i + k) // len(word) + 1))[k:k + j - i]
 
 
 class SymbolSequence:
@@ -43,7 +45,9 @@ class SymbolSequence:
     Construction canonicalizes: tail words are reduced to their primitive
     root and window symbols already described by a tail are absorbed into
     it, so the window cannot be shortened without changing the sequence.
-    Values are immutable after construction.
+    An empty window sits at the leftmost coordinate from which the right
+    tail repeats.  The representation is therefore unique: equality and
+    hashing compare descriptions.  Values are immutable after construction.
     """
 
     __slots__ = ("window", "start", "left", "right")
@@ -81,24 +85,18 @@ class SymbolSequence:
 
     @staticmethod
     def _normalize_empty(start, left, right):
-        """Anchor fully periodic sequences at coordinate 0 when possible."""
-        if len(left) == 1 and left == right:
-            return 0, left, right
-        per = _lcm(len(left), len(right))
-
-        def at_raw(n):
-            if n < start:
-                j = start - 1 - n
-                return left[len(left) - 1 - (j % len(left))]
-            return right[(n - start) % len(right)]
-
-        # If the two tilings agree across the boundary the sequence is a
-        # single periodic word; re-anchor it at 0.
-        if all(at_raw(start + j) == at_raw(start + j - per) for j in range(per)):
-            new_right = tuple(at_raw(j) for j in range(per))
-            new_left = tuple(at_raw(-per + j) for j in range(per))
-            return 0, _primitive(new_left), _primitive(new_right)
-        return start, left, right
+        """Slide the start left while the right tiling still predicts the
+        symbol before it, so the representation is unique.  Sliding a full
+        common period means the two tilings agree everywhere: the sequence
+        is one periodic word, anchored at coordinate 0."""
+        for _ in range(math.lcm(len(left), len(right))):
+            if right[-1] != left[-1]:
+                return start, left, right
+            start -= 1
+            left, right = left[-1:] + left[:-1], right[-1:] + right[:-1]
+        k = -start % len(right)
+        word = right[k:] + right[:k]
+        return 0, word, word
 
     @property
     def end(self) -> int:
@@ -116,28 +114,26 @@ class SymbolSequence:
         return w[(n - self.end) % len(w)]
 
     def segment(self, a: int, b: int) -> tuple:
-        return tuple(self.at(n) for n in range(a, b))
+        """Symbols at coordinates a .. b-1, tiled from the description."""
+        s, e = self.start, self.end
+        return (_tile(self.left, a - s, min(b, s) - s)
+                + self.window[max(a, s) - s:max(min(b, e) - s, 0)]
+                + _tile(self.right, max(a, e) - e, b - e))
 
     def shifted(self, n: int) -> "SymbolSequence":
         """Sequence y with y_m = x_{m+n}."""
         return type(self)(self.window, self.start - n, self.left, self.right)
-
-    def _compare_bound(self, other) -> tuple[int, int]:
-        lo = min(self.start, other.start)
-        hi = max(self.end, other.end)
-        pl = _lcm(len(self.left), len(other.left))
-        pr = _lcm(len(self.right), len(other.right))
-        return lo - pl, hi + pr
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, SymbolSequence):
             return NotImplemented
-        lo, hi = self._compare_bound(other)
-        return all(self.at(n) == other.at(n) for n in range(lo, hi))
+        return (self.start, self.window, self.left, self.right) \
+            == (other.start, other.window, other.left, other.right)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.start, self.window, self.left, self.right))
 
     def __repr__(self):
         return (f"{type(self).__name__}(window={self.window!r}, "
@@ -271,16 +267,22 @@ def gap_pair(x: BitSequence) -> GapPair:
     return x.gap_pair_at(0)
 
 
+def compare_radius(x: SymbolSequence, y: SymbolSequence, reach: int = 0) -> int:
+    """A radius r such that coordinates -r..r decide equality of, and the
+    distance between, x.shifted(i) and y.shifted(j) for |i|, |j| <= reach:
+    past the outermost window edges both sides repeat with a common period."""
+    lo = min(x.start, y.start) - reach - math.lcm(len(x.left), len(y.left))
+    hi = max(x.end, y.end) + reach + math.lcm(len(x.right), len(y.right))
+    return max(-lo, hi)
+
+
 def seq_distance(x: BitSequence, y: BitSequence) -> float:
-    """2^(-m) where m is the smallest |n| at which x and y differ; 0 if equal."""
-    if x == y:
-        return 0.0
-    lo, hi = x._compare_bound(y)
-    bound = max(-lo, hi)
-    for m in range(0, bound + 1):
-        if x.at(m) != y.at(m) or x.at(-m) != y.at(-m):
-            return math.ldexp(1.0, -m)
-    raise AssertionError("unequal sequences must differ within the compare bound")
+    """2^(-m) where m is the smallest |n| at which x and y differ; 0 if equal.
+    Both are materialised once on -r..r and scanned outward from 0."""
+    r = compare_radius(x, y)
+    u, v = x.segment(-r, r + 1), y.segment(-r, r + 1)
+    m = next((m for m in range(r + 1) if u[r + m] != v[r + m] or u[r - m] != v[r - m]), None)
+    return 0.0 if m is None else math.ldexp(1.0, -m)
 
 
 # ---------------------------------------------------------------------------

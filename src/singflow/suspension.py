@@ -14,13 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .roofs import RoofFunction, admissibility_check, ADMISSIBLE, roof_eval
-from .sequences import BitSequence, seq_distance
+from .sequences import BitSequence, compare_radius, seq_distance
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 HEIGHT_TOL = 1e-9
+_CHUNK = 1024   # columns per comparison step of bw_distance_upper
 MAX_CROSSINGS = 10 ** 6
 
 
@@ -184,85 +187,96 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     exactly on the diagonal, nonincreasing in the budget, and chains
     concatenate, so doubling the budget satisfies the relaxed triangle
     inequality.
+
+    Every base is x.shifted(j) for an endpoint base x and |j| <= window, so
+    each base and its image under the shift are slices of one bit row per
+    orbit, taken on coordinates -r..r: these hold 0 and the compare bound of
+    every pair, so equal slices mean equal sequences and the first mismatch
+    outward from 0 gives the distance.
     """
     if chain_budget < 2:
         raise ValueError("chain budget must be at least 2")
     if a == b:
         return 0.0
-    ua = norm_height(a, f)
-    ub = norm_height(b, f)
+    ua, ub = norm_height(a, f), norm_height(b, f)
+    orbits = x, y = a.base, b.base
+    r = compare_radius(x, y, window + 1)
+    # row o holds orbits[o] on -r-window .. r+window+2, so base (o, j) is
+    # the slice at offset j + window and its image the slice one further
+    rows = [bytes(z.segment(-r - window, r + window + 3)) for z in orbits]
+    index: dict = {}   # bits of a base on coordinates -r..r+1 -> base index
+    origin: list = []  # (orbit, shift) of each base's first occurrence
+    zero: list = []    # whether the roof vanishes on base i
 
-    bases: list = []
+    def key(o: int, j: int) -> bytes:
+        return rows[o][j + window:j + window + 2 * r + 2]
 
-    def base_index(y) -> int:
-        for i, z in enumerate(bases):
-            if z == y:
-                return i
-        bases.append(y)
-        return len(bases) - 1
+    def base_index(o: int, j: int) -> int:
+        bits = key(o, j)
+        if bits not in index:
+            index[bits] = len(zero)
+            origin.append((o, j))
+            zero.append(roof_eval(f, orbits[o], j) == 0.0)
+        return index[bits]
 
-    verts: list[tuple[int, float]] = []   # (base index, normalized height)
-
-    def add(bi: int, u: float):
-        if (bi, u) not in verts:
-            verts.append((bi, u))
-
-    add(base_index(a.base), ua)
-    add(base_index(b.base), ub)
+    # vertices (base index, normalized height) in first-insertion order
+    verts = dict.fromkeys([(base_index(0, 0), ua), (base_index(1, 0), ub)])
     grid = sorted({0.0, ua, ub})
-    for endpoint in (a, b):
+    for o in (0, 1):
         for j in range(-window, window + 1):
-            bi = base_index(endpoint.base.shifted(j))
-            if roof_eval(f, bases[bi]) == 0.0:
-                add(bi, 0.0)
-                continue
-            for u in grid:
-                add(bi, u)
+            bi = base_index(o, j)
+            for u in ((0.0,) if zero[bi] else grid):
+                verts.setdefault((bi, u))
 
-    nb = len(bases)
-    shifted = [y.shifted(1) for y in bases]
-    succ = [[shifted[i] == bases[j] for j in range(nb)] for i in range(nb)]
-    d0 = [[0.0] * nb for _ in range(nb)]
-    d1 = [[0.0] * nb for _ in range(nb)]
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            d0[i][j] = d0[j][i] = seq_distance(bases[i], bases[j])
-            d1[i][j] = d1[j][i] = seq_distance(shifted[i], shifted[j])
+    nb = len(zero)
+    succ = np.zeros((nb, nb), dtype=bool)   # image of base i is base j
+    for i, (o, j) in enumerate(origin):
+        if key(o, j + 1) in index:
+            succ[i, index[key(o, j + 1)]] = True
+    # d[i, j] = (d(base_i, base_j), d(image_i, image_j)) from the first
+    # mismatch in |m| order; distinct bases, and so their images, differ on
+    # -r..r.  Columns are compared a chunk at a time, outward from 0, so the
+    # temporaries stay nb x nb x 2 x _CHUNK wherever the windows lie.
+    row_bits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(2, -1)
+    orb, shift = (np.array(c) for c in zip(*origin))
+    zero_col = (shift + window + r)[:, None, None] + [[0], [1]]
+    d = np.zeros((nb, nb, 2))
+    todo = ~np.eye(nb, dtype=bool)[..., None].repeat(2, -1)
+    for k0 in range(0, 2 * r + 1, _CHUNK):
+        if not todo.any():
+            break
+        k = np.arange(k0, min(k0 + _CHUNK, 2 * r + 1))
+        m = (k + 1) >> 1   # coordinates 0, 1, -1, ..., r, -r
+        bits = row_bits[orb[:, None, None], zero_col + np.where(k & 1, m, -m)]
+        diff = bits[:, None] != bits[None]
+        hit = todo & diff.any(-1)
+        d[hit] = np.ldexp(1.0, -m[diff.argmax(-1)[hit]])
+        todo &= ~hit
 
-    n = len(verts)
-    weight = [[math.inf] * n for _ in range(n)]
-    for i in range(n):
-        weight[i][i] = 0.0
-        bi, ui = verts[i]
-        for j in range(i + 1, n):
-            bj, uj = verts[j]
-            best = math.inf
-            if bi == bj:
-                best = abs(ui - uj)
-            elif succ[bi][bj]:
-                best = 1.0 - ui + uj
-            elif succ[bj][bi]:
-                best = 1.0 - uj + ui
-            if abs(ui - uj) <= HEIGHT_TOL:
-                u = 0.5 * (ui + uj)
-                best = min(best, (1.0 - u) * d0[bi][bj] + u * d1[bi][bj])
-            weight[i][j] = weight[j][i] = best
+    vb, vu = (np.array(c) for c in zip(*verts))
+    pair = vb[:, None] * nb + vb
+    ui, uj = vu[:, None], vu[None, :]
+    gap = np.abs(ui - uj)
+    # vertical: same fiber, or flowing up through the roof to the next one
+    weight = np.where(vb[:, None] == vb, gap,
+                      np.where(succ.take(pair), 1.0 - ui + uj,
+                               np.where(succ.T.take(pair), 1.0 - uj + ui, math.inf)))
+    u = 0.5 * (ui + uj)
+    horizontal = (1.0 - u) * d[..., 0].take(pair) + u * d[..., 1].take(pair)
+    weight = np.where((gap <= HEIGHT_TOL) & (horizontal < weight), horizontal, weight)
+    # each pair is weighed with the lower vertex index first
+    weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
+    np.fill_diagonal(weight, 0.0)
 
     # shortest path from a (index 0) using at most chain_budget-1 edges
-    dist = [math.inf] * n
+    dist = np.full(len(vb), math.inf)
     dist[0] = 0.0
     for _ in range(chain_budget - 1):
-        new = dist[:]
-        for v in range(n):
-            row = weight[v]
-            best = new[v]
-            for u in range(n):
-                d = dist[u] + row[u]
-                if d < best:
-                    best = d
-            new[v] = best
+        new = np.minimum(dist, (dist[:, None] + weight).min(0))
+        if not (new < dist).any():  # a fixed point stays fixed
+            break
         dist = new
-    return dist[1]
+    return float(dist[1])
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,16 @@ def test_roof_spec_language():
             parse_roof_spec(bad)
 
 
+@pytest.mark.parametrize("spec", [
+    "power:nan", "power:inf", "harmonic:nan", "harmonic:inf", "harmonic:-inf",
+    "const:inf", "const:nan", "trunc:nan:harmonic:1", "trunc:inf:power:0.5",
+    "trunc:2:harmonic:nan",
+])
+def test_roof_spec_rejects_non_finite_parameters(spec):
+    with pytest.raises(RoofSpecError):
+        parse_roof_spec(spec)
+
+
 def brute_series(profile, lam, terms=60_000):
     """Oracle: direct summation of sum_k g(k) x^k in float64.
 

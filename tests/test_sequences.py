@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singflow import (BitSequence, SequenceFormatError, SymbolSequence,
+from singflow import (BitSequence, FlowPoint, SequenceFormatError, SymbolSequence,
                       format_sequence_literal, gap_pair, parse_sequence_literal,
                       seq_distance, shift)
 from singflow.sequences import _primitive
@@ -115,6 +115,25 @@ def test_gap_pair_shift_identity_every_gap_to_ten_thousand():
                 continue
             k = gap_pair(shift(x, L))
             assert (k.k_minus, k.k_plus) == (L, g - L)
+
+
+def test_segment_agrees_with_coordinate_lookup():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        x = random_sequence(rng)
+        if rng.integers(0, 2):
+            x = BitSequence((), int(rng.integers(-8, 8)), x.left, x.right)
+        a, b = (int(v) for v in rng.integers(-40, 40, size=2))
+        assert x.segment(a, b) == tuple(x.at(n) for n in range(a, b))
+
+
+def test_empty_window_start_slides_to_the_right_tail():
+    a = BitSequence((), 1, (0,), (1, 0))
+    b = BitSequence((), 0, (0,), (0, 1))
+    assert (a.start, a.window, a.left, a.right) == (0, (), (0,), (0, 1))
+    assert (b.start, b.window, b.left, b.right) == (0, (), (0,), (0, 1))
+    assert a == b and hash(a) == hash(b)
+    assert len({FlowPoint(a, 0.5), FlowPoint(b, 0.5)}) == 1
 
 
 def test_seq_distance_examples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from singflow import (HORIZONTAL, VERTICAL, AdmissibleChain, BitSequence,
                       CanonicalHeightError, FlowPoint, FlowResourceError,
                       Harmonic, PairKindError, RoofFunction, UnitPoint,
                       bw_distance_upper, flow, flow_point, flowpoints_close,
-                      norm_height, pair_length, parse_sequence_literal,
-                      roof_eval, seq_distance, shift, singular_point,
-                      unit_roof_extension)
+                      norm_height, pair_length, parse_roof_spec,
+                      parse_sequence_literal, roof_eval, seq_distance, shift,
+                      singular_point, unit_roof_extension)
 
 HARM = RoofFunction.from_profile(Harmonic(1.0))
 UNIT = RoofFunction.const(1.0)
@@ -199,6 +200,165 @@ def test_bw_relaxed_triangle_by_concatenation():
         rhs = (bw_distance_upper(a, b, HARM, m)
                + bw_distance_upper(b, c, HARM, m))
         assert lhs <= rhs + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the chain metric: the triple loop over explicit
+# shifted sequences, with coordinate-wise equality and distance.
+
+def _same(x, y):
+    lo = min(x.start, y.start) - math.lcm(len(x.left), len(y.left))
+    hi = max(x.end, y.end) + math.lcm(len(x.right), len(y.right))
+    return all(x.at(n) == y.at(n) for n in range(lo, hi))
+
+
+def _distance(x, y):
+    if _same(x, y):
+        return 0.0
+    m = 0
+    while x.at(m) == y.at(m) and x.at(-m) == y.at(-m):
+        m += 1
+    return math.ldexp(1.0, -m)
+
+
+def reference_bw_distance_upper(a, b, f, chain_budget, window=3):
+    if _same(a.base, b.base) and a.height == b.height:
+        return 0.0
+    ua = norm_height(a, f)
+    ub = norm_height(b, f)
+
+    bases = []
+
+    def base_index(y):
+        for i, z in enumerate(bases):
+            if _same(z, y):
+                return i
+        bases.append(y)
+        return len(bases) - 1
+
+    verts = []
+
+    def add(bi, u):
+        if (bi, u) not in verts:
+            verts.append((bi, u))
+
+    add(base_index(a.base), ua)
+    add(base_index(b.base), ub)
+    grid = sorted({0.0, ua, ub})
+    for endpoint in (a, b):
+        for j in range(-window, window + 1):
+            bi = base_index(endpoint.base.shifted(j))
+            if roof_eval(f, bases[bi]) == 0.0:
+                add(bi, 0.0)
+                continue
+            for u in grid:
+                add(bi, u)
+
+    nb = len(bases)
+    shifted = [y.shifted(1) for y in bases]
+    succ = [[_same(shifted[i], bases[j]) for j in range(nb)] for i in range(nb)]
+    d0 = [[0.0] * nb for _ in range(nb)]
+    d1 = [[0.0] * nb for _ in range(nb)]
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            d0[i][j] = d0[j][i] = _distance(bases[i], bases[j])
+            d1[i][j] = d1[j][i] = _distance(shifted[i], shifted[j])
+
+    n = len(verts)
+    weight = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        weight[i][i] = 0.0
+        bi, ui = verts[i]
+        for j in range(i + 1, n):
+            bj, uj = verts[j]
+            best = math.inf
+            if bi == bj:
+                best = abs(ui - uj)
+            elif succ[bi][bj]:
+                best = 1.0 - ui + uj
+            elif succ[bj][bi]:
+                best = 1.0 - uj + ui
+            if abs(ui - uj) <= 1e-9:
+                u = 0.5 * (ui + uj)
+                best = min(best, (1.0 - u) * d0[bi][bj] + u * d1[bi][bj])
+            weight[i][j] = weight[j][i] = best
+
+    dist = [math.inf] * n
+    dist[0] = 0.0
+    for _ in range(chain_budget - 1):
+        new = dist[:]
+        for v in range(n):
+            row = weight[v]
+            best = new[v]
+            for u in range(n):
+                d = dist[u] + row[u]
+                if d < best:
+                    best = d
+            new[v] = best
+        dist = new
+    return dist[1]
+
+
+METRIC_ROOFS = [parse_roof_spec(s)
+                for s in ("harmonic:1", "power:0.5", "const:1", "logharmonic")]
+
+
+def _metric_pair(rng, f, kind):
+    a = random_point(rng, f)
+    if kind == "equal":
+        return a, FlowPoint(BitSequence(a.base.window, a.base.start, a.base.left * 2,
+                                        a.base.right * 3), a.height)
+    if kind == "close-heights":
+        # distinct vertices on one fiber, joined by a horizontal pair
+        return a, FlowPoint(a.base, math.nextafter(a.height, math.inf))
+    if kind == "same-orbit":
+        y = a.base.shifted(int(rng.integers(-4, 5)))
+        return a, flow_point(f, y, float(rng.uniform(0.0, roof_eval(f, y))))
+    if kind == "singular-fiber":
+        star = BitSequence.zero()
+        return a, flow_point(f, star, float(rng.uniform(0.0, roof_eval(f, star))))
+    if kind == "periodic":
+        y = BitSequence.periodic(tuple(int(v) for v in rng.integers(0, 2, size=3)) + (1,))
+        return a, flow_point(f, y.shifted(int(rng.integers(-3, 4))), 0.0)
+    if kind == "far":
+        y = random_point(rng, f).base.shifted(int(rng.integers(-40, 41)))
+        return a, flow_point(f, y, 0.0)
+    return a, random_point(rng, f)
+
+
+def test_bw_distance_matches_scalar_reference_exactly():
+    rng = np.random.default_rng(43)
+    kinds = ("equal", "close-heights", "same-orbit", "singular-fiber", "periodic",
+             "far", "random")
+    checked = 0
+    for rep in range(72):
+        for f in METRIC_ROOFS:
+            for kind in kinds:
+                a, b = _metric_pair(rng, f, kind)
+                if rng.integers(0, 2):
+                    a, b = b, a
+                budget = 2 + (checked % 11)
+                window = 1 + (checked // 11) % 3
+                got = bw_distance_upper(a, b, f, budget, window)
+                assert got == reference_bw_distance_upper(a, b, f, budget, window), \
+                    (a, b, f.spec(), budget, window)
+                checked += 1
+    assert checked >= 2000
+
+
+def test_bw_distance_far_windows_match_reference_in_bounded_memory():
+    f = METRIC_ROOFS[0]
+    near, far = BitSequence((1, 0, 1, 1), 0), BitSequence((1, 1, 0, 1), 20000)
+    # one window at 0, and two windows whose bases differ only near 20000
+    for x, y in ((near, far), (near.shifted(-20000), far)):
+        a, b = FlowPoint(x, 0.0), flow_point(f, y, 0.5 * roof_eval(f, y))
+        assert bw_distance_upper(a, b, f, 4, 1) == reference_bw_distance_upper(a, b, f, 4, 1)
+    # temporaries grow with the distance of the windows from 0 only linearly
+    tracemalloc.start()
+    bw_distance_upper(a, b, f, 4, 3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_unit_roof_extension_examples():
