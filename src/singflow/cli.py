@@ -6,8 +6,9 @@ exhaustive roundtrip, ``verify`` runs the structural suites and prints a
 pass/fail table, ``metric`` samples the flow/metric properties, ``report``
 aggregates a small run of everything into one JSON artifact.
 
-Outputs are deterministic for a fixed (config, seed): no timestamps, seeds
-recorded in headers, fixed column order.
+Each subcommand takes exactly the options its handler reads, with their
+defaults written once, in the parser.  Outputs are deterministic for fixed
+arguments: no timestamps, seeds recorded in headers, fixed column order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,27 +27,6 @@ from .sequences import BitSequence
 from .suspension import (UnitPoint, bw_distance_upper, flow, flow_point,
                          flowpoints_close, unit_roof_extension)
 from .verify import SUITES
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    roof_spec: str = "harmonic:1"
-    grid: str = "1e-3..1e-12"
-    gap: int = 11
-    word: str = ""
-    gap_max: int = 10000
-    kplus_max: int = 2000
-    suite: str = "all"
-    boundary: str = cdc.ADJUSTED
-    seed: int = 2024
-    tol: float = 1e-18
-    max_crossings: int = 10 ** 6
-    samples: int = 200
-    budget: int = 6
-    output: str = "-"
-    fmt: str = "csv"
-    action: str = "encode"
 
 
 def parse_grid(spec: str) -> list:
@@ -66,24 +45,16 @@ def parse_grid(spec: str) -> list:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 # ---------------------------------------------------------------------------
 # verify
 
-def _run_verify(cfg: ExperimentConfig, out) -> int:
-    names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
-    if any(n not in SUITES for n in names):
-        raise ValueError(f"unknown suite {cfg.suite!r}")
+def _run_verify(args: argparse.Namespace, out) -> int:
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
-    out.write(f"# boundary={cfg.boundary} gap_max={cfg.gap_max} "
-              f"kplus_max={cfg.kplus_max} seed={cfg.seed}\n")
+    out.write(f"# boundary={args.boundary} gap_max={args.gap_max} "
+              f"kplus_max={args.kplus_max} seed={args.seed}\n")
     for name in names:
-        ok, detail = SUITES[name](cfg.gap_max, cfg.kplus_max, cfg.boundary)
+        ok, detail = SUITES[name](args.gap_max, args.kplus_max, args.boundary)
         failures += 0 if ok else 1
         out.write(f"{name:8s} {'PASS' if ok else 'FAIL'}  {detail}\n")
     return 1 if failures else 0
@@ -103,29 +74,29 @@ def _random_bits(rng) -> BitSequence:
     return BitSequence((1,), 0) if x.is_zero() else x
 
 
-def _run_metric(cfg: ExperimentConfig, out) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    f = parse_roof_spec(cfg.roof_spec)
+def _run_metric(args: argparse.Namespace, out) -> int:
+    rng = np.random.default_rng(args.seed)
+    f = parse_roof_spec(args.roof_spec)
     failures = 0
-    out.write(f"# roof={cfg.roof_spec} samples={cfg.samples} seed={cfg.seed}\n")
+    out.write(f"# roof={args.roof_spec} samples={args.samples} seed={args.seed}\n")
 
     bad = 0
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         x = _random_bits(rng)
         p = flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
         a = float(rng.uniform(-3.0, 3.0))
         b = float(rng.uniform(-3.0, 3.0))
-        lhs = flow(flow(p, a, f, cfg.max_crossings), b, f, cfg.max_crossings)
-        rhs = flow(p, a + b, f, cfg.max_crossings)
+        lhs = flow(flow(p, a, f, args.max_crossings), b, f, args.max_crossings)
+        rhs = flow(p, a + b, f, args.max_crossings)
         if not flowpoints_close(lhs, rhs, f, 1e-9):
             bad += 1
     failures += bad > 0
     out.write(f"flow-additivity      {'PASS' if bad == 0 else 'FAIL'}  "
-              f"{cfg.samples} triples, {bad} mismatches\n")
+              f"{args.samples} triples, {bad} mismatches\n")
 
     bad = 0
-    m = cfg.budget
-    for _ in range(max(cfg.samples // 10, 10)):
+    m = args.budget
+    for _ in range(max(args.samples // 10, 10)):
         x = _random_bits(rng)
         z = _random_bits(rng)
         pa = flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
@@ -146,14 +117,14 @@ def _run_metric(cfg: ExperimentConfig, out) -> int:
               f"symmetry/diagonal/budget/triangle, {bad} mismatches\n")
 
     bad = 0
-    pi = unit_roof_extension(f, cfg.max_crossings)
-    for _ in range(max(cfg.samples // 10, 10)):
+    pi = unit_roof_extension(f, args.max_crossings)
+    for _ in range(max(args.samples // 10, 10)):
         x = _random_bits(rng)
         p = UnitPoint(flow_point(f, x, rng.uniform(0.0, roof_eval(f, x))),
                       float(rng.uniform(0.0, 1.0)))
         t = float(rng.uniform(-2.0, 2.0))
         lhs = pi.project(pi.advance(p, t))
-        rhs = flow(pi.project(p), t, f, cfg.max_crossings)
+        rhs = flow(pi.project(p), t, f, args.max_crossings)
         if not flowpoints_close(lhs, rhs, f, 1e-9):
             bad += 1
     failures += bad > 0
@@ -165,27 +136,27 @@ def _run_metric(cfg: ExperimentConfig, out) -> int:
 # ---------------------------------------------------------------------------
 # entropy scan and codec actions
 
-def _run_scan(cfg: ExperimentConfig, out) -> int:
-    roof = parse_roof_spec(cfg.roof_spec)
+def _run_scan(args: argparse.Namespace, out) -> int:
+    roof = parse_roof_spec(args.roof_spec)
     if roof.is_constant:
         raise ValueError("entropy scans need a gap-profile roof")
-    result = ent.singular_limit_scan(roof.profile, parse_grid(cfg.grid), cfg.tol)
-    if cfg.fmt == "json":
+    result = ent.singular_limit_scan(roof.profile, parse_grid(args.grid), args.tol)
+    if args.fmt == "json":
         out.write(result.to_json() + "\n")
     else:
-        result.to_csv(out, seed=cfg.seed)
+        result.to_csv(out, seed=args.seed)
     return 0
 
 
-def _run_codec(cfg: ExperimentConfig, out) -> int:
-    if cfg.action == "encode":
-        out.write(cdc.render_word(cdc.encode_block(cfg.gap, cfg.boundary)) + "\n")
+def _run_codec(args: argparse.Namespace, out) -> int:
+    if args.action == "encode":
+        out.write(cdc.render_word(cdc.encode_block(args.gap, args.boundary)) + "\n")
         return 0
-    if cfg.action == "decode":
-        out.write(f"{cdc.decode_word(cdc.parse_word(cfg.word))}\n")
+    if args.action == "decode":
+        out.write(f"{cdc.decode_word(cdc.parse_word(args.word))}\n")
         return 0
-    if cfg.action == "profile":
-        prof = cdc.return_profile(cfg.gap, cfg.boundary)
+    if args.action == "profile":
+        prof = cdc.return_profile(args.gap, args.boundary)
         payload = {
             "gap": prof.gap, "p": prof.p, "r": prof.r,
             "epsilon_bits": {str(k): v for k, v in sorted(prof.epsilon_bits.items())},
@@ -194,26 +165,25 @@ def _run_codec(cfg: ExperimentConfig, out) -> int:
         }
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
-    if cfg.action == "roundtrip":
-        ok, detail = SUITES["codec"](cfg.gap_max, cfg.kplus_max, cfg.boundary)
-        out.write(f"codec {'PASS' if ok else 'FAIL'}  {detail}\n")
-        return 0 if ok else 1
-    raise ValueError(f"unknown codec action {cfg.action!r}")
+    # roundtrip; the codec suite reads no k+ bound
+    ok, detail = SUITES["codec"](args.gap_max, 0, args.boundary)
+    out.write(f"codec {'PASS' if ok else 'FAIL'}  {detail}\n")
+    return 0 if ok else 1
 
 
-def _run_report(cfg: ExperimentConfig, out) -> int:
+def _run_report(args: argparse.Namespace, out) -> int:
     suites = {}
     for name, fn in SUITES.items():
-        ok, detail = fn(cfg.gap_max, cfg.kplus_max, cfg.boundary)
+        ok, detail = fn(args.gap_max, args.kplus_max, args.boundary)
         suites[name] = {"pass": ok, "detail": detail}
-    scan = ent.singular_limit_scan(Harmonic(1.0), parse_grid(cfg.grid), cfg.tol)
+    scan = ent.singular_limit_scan(Harmonic(1.0), parse_grid(args.grid), args.tol)
     fibers = cdc.fiber_sfts()
     payload = {
-        "seed": cfg.seed,
-        "boundary": cfg.boundary,
+        "seed": args.seed,
+        "boundary": args.boundary,
         "suites": suites,
         "harmonic_scan": json.loads(scan.to_json()),
-        "sample_words": {g: cdc.render_word(cdc.encode_block(g, cfg.boundary))
+        "sample_words": {g: cdc.render_word(cdc.encode_block(g, args.boundary))
                          for g in (1, 2, 3, 5, 11)},
         "fiber_entropy": ent.sft_entropy_wordcount(fibers[0], 40).value,
         # exact counts as decimal strings
@@ -224,25 +194,6 @@ def _run_report(cfg: ExperimentConfig, out) -> int:
     return 0 if all(s["pass"] for s in suites.values()) else 1
 
 
-def run(cfg: ExperimentConfig) -> int:
-    out, close = _open_output(cfg.output)
-    try:
-        if cfg.command == "entropy-scan":
-            return _run_scan(cfg, out)
-        if cfg.command == "codec":
-            return _run_codec(cfg, out)
-        if cfg.command == "verify":
-            return _run_verify(cfg, out)
-        if cfg.command == "metric":
-            return _run_metric(cfg, out)
-        if cfg.command == "report":
-            return _run_report(cfg, out)
-        raise ValueError(f"unknown command {cfg.command!r}")
-    finally:
-        if close:
-            out.close()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="singflow",
@@ -250,57 +201,60 @@ def _build_parser() -> argparse.ArgumentParser:
                     "entropy scans, the accelerated-shift block codec, and "
                     "structural verification suites.")
     sub = ap.add_subparsers(dest="command", required=True)
+    shared = {
+        "--boundary": dict(choices=[cdc.ADJUSTED, cdc.PAPER], default=cdc.ADJUSTED),
+        "--seed": dict(type=int, default=2024),
+        "--tol": dict(type=float, default=1e-18),
+        "--max-crossings": dict(type=int, default=10 ** 6),
+        "--output": dict(default="-"),
+    }
 
-    def common(p):
-        p.add_argument("--boundary", choices=[cdc.ADJUSTED, cdc.PAPER],
-                       default=cdc.ADJUSTED)
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--output", default="-")
-        p.add_argument("--tol", type=float, default=1e-18)
-        p.add_argument("--max-crossings", type=int, default=10 ** 6)
+    def command(name, run, help, *options):
+        """Subcommand dispatching to ``run``, with --output and the named
+        shared options."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for opt in options + ("--output",):
+            p.add_argument(opt, **shared[opt])
+        return p
 
-    p = sub.add_parser("entropy-scan", help="singular-limit entropy table")
+    p = command("entropy-scan", _run_scan, "singular-limit entropy table", "--seed", "--tol")
     p.add_argument("--roof", dest="roof_spec", required=True)
     p.add_argument("--grid", default="1e-3..1e-12")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    common(p)
 
-    p = sub.add_parser("codec", help="block-code actions")
+    p = command("codec", _run_codec, "block-code actions", "--boundary")
     p.add_argument("action", choices=["encode", "decode", "profile", "roundtrip"])
     p.add_argument("--gap", type=int, default=11)
     p.add_argument("--word", default="")
-    p.add_argument("--gap-max", dest="gap_max", type=int, default=10000)
-    common(p)
+    p.add_argument("--gap-max", type=int, default=10000)
 
-    p = sub.add_parser("verify", help="structural suites")
+    p = command("verify", _run_verify, "structural suites", "--boundary", "--seed")
     p.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
-    p.add_argument("--gap-max", dest="gap_max", type=int, default=10000)
-    p.add_argument("--kplus-max", dest="kplus_max", type=int, default=2000)
-    common(p)
+    p.add_argument("--gap-max", type=int, default=10000)
+    p.add_argument("--kplus-max", type=int, default=2000)
 
-    p = sub.add_parser("metric", help="sampled flow and metric properties")
+    p = command("metric", _run_metric, "sampled flow and metric properties",
+                "--seed", "--max-crossings")
     p.add_argument("--roof", dest="roof_spec", default="harmonic:1")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--budget", type=int, default=6)
-    common(p)
 
-    p = sub.add_parser("report", help="aggregate JSON report")
+    p = command("report", _run_report, "aggregate JSON report", "--boundary", "--seed", "--tol")
     p.add_argument("--grid", default="1e-3..1e-8")
-    p.add_argument("--gap-max", dest="gap_max", type=int, default=2000)
-    p.add_argument("--kplus-max", dest="kplus_max", type=int, default=1000)
-    common(p)
+    p.add_argument("--gap-max", type=int, default=2000)
+    p.add_argument("--kplus-max", type=int, default=1000)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(command=args.command)
-    for key, value in vars(args).items():
-        if hasattr(cfg, key) and value is not None:
-            setattr(cfg, key, value)
     try:
-        return run(cfg)
+        if args.output == "-":
+            return args.run(args, sys.stdout)
+        with open(args.output, "w", encoding="utf-8") as out:
+            return args.run(args, out)
     except (ValueError, RoofSpecError, cdc.DecodeError,
             cdc.FirstReturnStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

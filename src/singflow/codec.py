@@ -231,7 +231,7 @@ def return_profile(gap: int, boundary: str = ADJUSTED) -> BlockProfile:
         eps = {q: (gap - offsets[q]) & 1 for q in range(r + 1, p - 1)}
         z1 = gap - ceil_sqrt(8 * (1 << (r - 1)) * (gap - offsets[r + 1]))
         if not 0 <= z1 <= 4:
-            raise AssertionError(f"z1 out of range for gap {gap}: {z1}")
+            raise FirstReturnStructureError(f"z1 out of range for gap {gap}: {z1}")
         # z1 leads; the halving parities fill every other slot counted back
         # from the end, the latest parity in the last slot
         zs = [z1] + ["x"] * (p - 1)
@@ -273,6 +273,24 @@ def encode_block(gap: int, boundary: str = ADJUSTED) -> tuple:
         raise FirstReturnStructureError(
             f"gap {gap} has no R3 visit under the {boundary!r} boundary")
     return word
+
+
+def _halving_kplus(letters, q: int, e: int) -> int:
+    """k+ at the halving step whose letter is letters[q], e steps before the
+    last step of its block (where k+ = 1): 2^e plus the parities of k+ at the
+    e steps from q on, lowest digit first, read from every other letter
+    starting at index q-e+2."""
+    kp = 1 << e
+    for i in range(e):
+        idx = q - e + 2 + 2 * i
+        if idx < 0:
+            raise AmbiguousContextError(
+                "parity bits of the halving phase fall before the context")
+        z = letters[idx].z
+        if z not in (0, 1):
+            raise DecodeError("epsilon-bit", f"expected a parity bit at index {idx}")
+        kp += z << i
+    return kp
 
 
 def decode_word(word) -> int:
@@ -318,10 +336,7 @@ def decode_word(word) -> int:
                                   f"slot {pos} must carry a parity bit, got {z!r}")
         elif z != "x":
             raise DecodeError("z-extraneous", f"slot {pos} must be x, got {z!r}")
-    kp_next = 1 << (p - r - 2)
-    for i, z in enumerate(zs[first - 1::2]):
-        kp_next += z << i
-    return z1 + ceil_sqrt(8 * (1 << (r - 1)) * kp_next)
+    return z1 + ceil_sqrt(8 * (1 << (r - 1)) * _halving_kplus(letters, r + 1, p - r - 2))
 
 
 def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
@@ -363,12 +378,7 @@ def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
             km = 1 << (q - 2)
             return GapPair(km, gap - km)
         s = q - 1  # step index of the halving phase
-        kp = 1 << (p - 1 - s)
-        for i in range(0, p - s - 1):
-            z = block[2 * (s + i) + 4 - p - 1].z
-            if z not in (0, 1):
-                raise DecodeError("epsilon-bit", f"expected a parity bit for step {s + i}")
-            kp += z << i
+        kp = _halving_kplus(block, s, p - 1 - s)
         return GapPair(gap - kp, kp)
 
     if i0 is not None:  # future side without ones
@@ -390,18 +400,7 @@ def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
             if letters[c].y != 4:
                 raise DecodeError("past-segment-letters",
                                   "an endless halving phase uses y = 4 letters")
-        d = i1 - offset
-        kp = 1 << (d - 1)
-        for i in range(0, d - 1):
-            idx = offset - d + 3 + 2 * i
-            if idx < 0:
-                raise AmbiguousContextError(
-                    "parity bits of the halving phase fall before the context")
-            z = letters[idx].z
-            if z not in (0, 1):
-                raise DecodeError("epsilon-bit", f"expected a parity bit at index {idx}")
-            kp += z << i
-        return GapPair(INF, kp)
+        return GapPair(INF, _halving_kplus(letters, offset, i1 - offset - 1))
 
     if no_ones_left and no_ones_right:
         return GapPair(INF, INF)
@@ -410,10 +409,6 @@ def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
 
 # ---------------------------------------------------------------------------
 # The block code on sequences
-
-def _ones_in(x: BitSequence, lo: int, hi: int) -> list:
-    return [p for p in range(lo, hi + 1) if x.at(p) == 1]
-
 
 def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
     """Code image of x, aligned so that the origin letter is the one of the
@@ -432,7 +427,7 @@ def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
     per_l, per_r = len(x.left), len(x.right)
     lo = min(x.start, 0) - 3 * per_l - 1
     hi = max(x.end, 0) + 3 * per_r + 1
-    ones = _ones_in(x, lo, hi)
+    ones = [lo + i for i, b in enumerate(x.segment(lo, hi + 1)) if b == 1]
 
     pos0 = max(p for p in ones if p <= 0)
     pos1 = min(p for p in ones if p > pos0)
@@ -498,7 +493,8 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     per_l, per_r = len(u.left), len(u.right)
     lo = min(u.start, 0) - 3 * per_l - 1
     hi = max(u.end, 0) + 3 * per_r + 1
-    onepos = [c for c in range(lo, hi + 1) if u.at(c).y == 1]
+    seg = u.segment(lo, hi + 1)
+    onepos = [lo + i for i, l in enumerate(seg) if l.y == 1]
     if not onepos:
         raise AssertionError("ones declared but none materialized")
 
@@ -537,10 +533,9 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
         right_tail = _cycle_bits(u, [c for c in onepos
                                      if right_edge <= c <= right_edge + per_r])
     else:
-        for c in range(max(onepos) + 1, hi + 1):
-            if u.at(c).y != 2:
-                raise DecodeError("future-segment-letters",
-                                  "an endless expanding phase uses y = 2 letters")
+        if any(l.y != 2 for l in seg[max(onepos) + 1 - lo:]):
+            raise DecodeError("future-segment-letters",
+                              "an endless expanding phase uses y = 2 letters")
         right_tail = (0,)
         right_edge = None
 
@@ -549,10 +544,9 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
         left_tail = _cycle_bits(u, [c for c in onepos
                                     if left_edge - per_l <= c <= left_edge])
     else:
-        for c in range(lo, min(onepos)):
-            if u.at(c).y != 4:
-                raise DecodeError("past-segment-letters",
-                                  "an endless halving phase uses y = 4 letters")
+        if any(l.y != 4 for l in seg[:min(onepos) - lo]):
+            raise DecodeError("past-segment-letters",
+                              "an endless halving phase uses y = 4 letters")
         left_tail = (0,)
         left_edge = None
 

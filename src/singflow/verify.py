@@ -59,10 +59,6 @@ class _Walks:
         # a block walk takes at most about 2 log2(gap) + 2 steps
         return (cls(g, boundary) for g in _ranges(lo, hi, 2 * max(hi, 1).bit_length() + 2))
 
-    def z1_error(self, i: int) -> AssertionError:
-        """What ``return_profile`` raises for the gap at index i."""
-        return AssertionError(f"z1 out of range for gap {self.gaps[i]}: {self.z1[i]}")
-
 
 def region_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
     """Each finite pair of the grid (k- outer, k+ inner) lies in the region
@@ -84,9 +80,10 @@ def region_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str
 
 
 def fr_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
-    """For each gap 3..gap_max: the regions R1 R2^(r-1) R3 R4^(p-1-r), offset
-    2^(q-1) at steps q <= r, k+ equal to its parity expansion at steps q > r,
-    and the return-time bound 2r >= p-3."""
+    """For each gap 3..gap_max: the leading defect z1 in 0..4, the regions
+    R1 R2^(r-1) R3 R4^(p-1-r), offset 2^(q-1) at steps q <= r, k+ equal to
+    its parity expansion at steps q > r, and the return-time bound
+    2r >= p-3."""
     bad = []
     for wk in _Walks.chunks(3, gap_max, boundary):
         bad += wk.gaps[~wk.has3].tolist()
@@ -107,7 +104,7 @@ def fr_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
             i = failed.argmax()
             gap = wk.gaps[i]
             if wk.z1_bad[i]:
-                raise wk.z1_error(i)
+                return False, f"gap {gap}: z1 out of range ({wk.z1[i]})"
             if pattern_bad[i]:
                 return False, f"gap {gap}: region pattern {tuple(wk.regions[i, :p[i]].tolist())}"
             if doubling[i].any():
@@ -179,7 +176,7 @@ def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
             if not encodable[i]:
                 anomalies.append(gap)
             elif wk.z1_bad[i]:
-                raise wk.z1_error(i)
+                return False, f"gap {gap}: z1 out of range ({wk.z1[i]})"
             elif cdc.decode_word(tuple(map(cdc.ALPHABET.__getitem__, words[i][:p]))) != gap:
                 return False, f"roundtrip failed at gap {gap}"
     if boundary == cdc.ADJUSTED:

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from singflow.cli import ExperimentConfig, main, parse_grid, run
+from singflow.cli import main, parse_grid
 
 
 def run_cli(argv, capsys):
@@ -120,7 +121,43 @@ def test_bad_roof_spec_exits_nonzero(capsys):
 
 
 def test_run_config_entrypoint(tmp_path):
-    cfg = ExperimentConfig(command="verify", suite="region", gap_max=200,
-                           output=str(tmp_path / "v.txt"))
-    assert run(cfg) == 0
-    assert "region" in (tmp_path / "v.txt").read_text()
+    target = tmp_path / "v.txt"
+    assert main(["verify", "--suite", "region", "--gap-max", "200",
+                 "--output", str(target)]) == 0
+    assert "region" in target.read_text()
+
+
+# options each subcommand used to accept without reading them
+UNREAD = [
+    ["entropy-scan", "--roof", "harmonic:1", "--boundary", "paper"],
+    ["entropy-scan", "--roof", "harmonic:1", "--max-crossings", "10"],
+    ["codec", "encode", "--seed", "1"],
+    ["codec", "encode", "--tol", "1e-9"],
+    ["codec", "encode", "--max-crossings", "10"],
+    ["verify", "--suite", "region", "--tol", "1e-9"],
+    ["verify", "--suite", "region", "--max-crossings", "10"],
+    ["metric", "--samples", "10", "--boundary", "paper"],
+    ["metric", "--samples", "10", "--tol", "1e-9"],
+    ["report", "--max-crossings", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=[f"{a[0]} {a[-2]}" for a in UNREAD])
+def test_unread_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# SHA-256 of the report stdout, recorded before the CLI dropped its config
+# object; no bench workload pins the report
+@pytest.mark.parametrize("boundary, code, digest", [
+    ("adjusted", 0, "2105ed2067dd0c65e17a4e1f5d35b93618557d8e11787aa54f6441a1b269f71a"),
+    ("paper", 1, "9430408f40207f2d8e8c6e934258cad51c439338320c8ea8ddea60eeb2272dd8"),
+])
+def test_report_stdout_is_pinned(boundary, code, digest, capsys):
+    got, out, _ = run_cli(["report", "--gap-max", "400", "--kplus-max", "300",
+                           "--grid", "1e-3..1e-6", "--boundary", boundary], capsys)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

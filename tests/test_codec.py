@@ -255,6 +255,12 @@ def test_decode_position_errors():
     both = decode_position([letter(2, "x")] * 4, 2,
                            no_ones_left=True, no_ones_right=True)
     assert both.is_singular()
+    # a halving phase of four steps needs parity bits before the context
+    with pytest.raises(AmbiguousContextError):
+        decode_position([letter(4, "x")] * 4 + [letter(1, "x")], 0, no_ones_left=True)
+    with pytest.raises(DecodeError) as err:
+        decode_position([letter(4, "x")] * 3 + [letter(1, "x")], 0, no_ones_left=True)
+    assert err.value.constraint == "epsilon-bit"
 
 
 def test_decode_position_matches_simulation_exhaustively():

@@ -127,10 +127,19 @@ def _long_r3_step(km, kp, boundary=ADJUSTED):
     return region, np.where(region == 3, np.minimum(step + (kp % 7 == 0), kp), step)
 
 
+def _short_r3_step(km, kp, boundary=ADJUSTED):
+    """The law with the R3 step one shorter, kept >= 1 so every walk ends."""
+    region, step = LAW(km, kp, boundary)
+    return region, np.where(region == 3, np.maximum(step - 1, 1), step)
+
+
 @pytest.mark.parametrize("law, expected", [
     (_floor_halving, {"fr": "gap 7: parity expansion broken at step 3",
                       "codec": "roundtrip failed at gap 7"}),
     (_long_r3_step, {"injec": "upper step bound broken at k+=7"}),
+    (_short_r3_step, {"fr": "gap 5: z1 out of range (-1)",
+                      "injec": "defect bound broken at k+=3",
+                      "codec": "gap 5: z1 out of range (-1)"}),
 ])
 def test_suites_report_the_first_failure_of_a_broken_law(monkeypatch, law, expected):
     monkeypatch.setattr(cdc, "region_steps", law)
@@ -149,3 +158,24 @@ def test_region_suite_reports_the_first_misplaced_pair(monkeypatch):
 
     monkeypatch.setattr(cdc, "region_steps", law)
     assert SUITES["region"](350, 0, ADJUSTED) == (False, "pair (37,200) fell into R4")
+
+
+def test_z1_out_of_range_is_a_typed_error_and_a_cli_error(monkeypatch, capsys):
+    step = cdc._region_step
+
+    def short_r3(km, kp, adjusted):
+        region, length = step(km, kp, adjusted)
+        return region, max(length - 1, 1) if region == 3 else length
+
+    monkeypatch.setattr(cdc, "_region_step", short_r3)
+    monkeypatch.setattr(cdc, "region_steps", _short_r3_step)
+    with pytest.raises(cdc.FirstReturnStructureError, match="z1 out of range for gap 5: -1"):
+        return_profile(5)
+    for argv in (["codec", "profile", "--gap", "5"], ["codec", "encode", "--gap", "5"],
+                 ["report", "--gap-max", "50", "--kplus-max", "30", "--grid", "1e-3..1e-4"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: z1 out of range for gap 5: -1\n", argv
+        assert captured.out == ""
+    assert main(["codec", "roundtrip", "--gap-max", "100"]) == 1
+    assert capsys.readouterr().out == "codec FAIL  gap 5: z1 out of range (-1)\n"
