@@ -11,16 +11,17 @@ from .sequences import (BitSequence, GapPair, SymbolSequence, MAX_GAP,
                         SequenceFormatError, format_sequence_literal, gap_pair,
                         parse_sequence_literal, seq_distance, shift)
 from .roofs import (ADMISSIBLE, INADMISSIBLE, ConstantProfile, GapProfile,
-                    Geometric, Harmonic, LogHarmonic, Power, RoofFunction,
-                    RoofSpecError, Table, Truncated, UntaggedTableError,
-                    ZeroProfile, admissibility_check, parse_profile_spec,
-                    parse_roof_spec, roof_eval)
+                    Geometric, Harmonic, LogHarmonic, Power,
+                    ProfileResourceError, RoofFunction, RoofSpecError, Table,
+                    Truncated, UntaggedTableError, ZeroProfile,
+                    admissibility_check, parse_profile_spec, parse_roof_spec,
+                    roof_eval)
 from .suspension import (HORIZONTAL, VERTICAL, AdmissibleChain,
                          CanonicalHeightError, FlowPoint, FlowResourceError,
-                         PairKindError, UnitPoint, UnitRoofExtension,
-                         bw_distance_upper, flow, flow_point, flowpoints_close,
-                         norm_height, pair_length, singular_point,
-                         unit_roof_extension)
+                         InadmissibleRoofError, PairKindError, UnitPoint,
+                         UnitRoofExtension, bw_distance_upper, flow,
+                         flow_point, flowpoints_close, norm_height,
+                         pair_length, singular_point, unit_roof_extension)
 from .entropy import (EntropyReport, FlowMeasureSpec, MeasureAtom, ScanResult,
                       abramov, flow_entropy_bernoulli, roof_integral_bernoulli,
                       separated_entropy_estimate, sex_entropy_formula,

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import codec as cdc
 from . import entropy as ent
-from .roofs import Harmonic, RoofSpecError, parse_roof_spec, roof_eval
+from .roofs import (Harmonic, ProfileResourceError, RoofSpecError, parse_roof_spec,
+                    roof_eval)
 from .sequences import BitSequence
 from .suspension import (UnitPoint, bw_distance_upper, flow, flow_point,
                          flowpoints_close, unit_roof_extension)
@@ -255,8 +256,8 @@ def main(argv=None) -> int:
             return args.run(args, sys.stdout)
         with open(args.output, "w", encoding="utf-8") as out:
             return args.run(args, out)
-    except (ValueError, RoofSpecError, cdc.DecodeError,
-            cdc.FirstReturnStructureError) as exc:
+    except (ValueError, RoofSpecError, cdc.DecodeError, cdc.FirstReturnStructureError,
+            ProfileResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

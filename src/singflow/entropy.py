@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .roofs import GapProfile, RoofFunction
+from .roofs import MP_DPS, GapProfile, RoofFunction
 from .sequences import INF
 from .suspension import bw_distance_upper, flow
 
@@ -81,18 +81,25 @@ def shannon_binary(lam: float) -> float:
     return -lam * math.log(lam) - (1.0 - lam) * math.log1p(-lam)
 
 
+_ULP = 2.0 ** -53  # unit roundoff of a double
+
+
 def _integral_with_bound(lam: float, g: GapProfile, tol: float) -> tuple[float, float]:
+    """The roof integral as a double and a derived bound on its error.  Every
+    series is good far beyond double precision, so ``tol`` is only checked."""
     if not 0.0 < lam < 1.0:
         raise ValueError("Bernoulli parameter must lie strictly in (0,1)")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    mlam = mp.mpf(lam)
-    series = g.bernoulli_series(mlam)
-    total = mp.mpf(g.g0) * mlam + mlam * (2 - mlam) / (1 - mlam) * series
-    value = float(total)
-    # closed forms and Euler-Maclaurin tails are good far beyond double
-    # precision; the honest bound is rounding plus the requested target
-    bound = max(abs(value) * 1e-15, abs(value) * tol)
+    with mp.workdps(MP_DPS):
+        mlam = mp.mpf(lam)
+        series, series_bound = g.bernoulli_series(mlam, with_bound=True)
+        weight = mlam * (2 - mlam) / (1 - mlam)
+        total = mp.mpf(g.g0) * mlam + weight * series
+        value = float(total)
+        # the series' bound carried through its weight, a few roundings of
+        # the assembly, and the rounding to a double
+        bound = float(weight * series_bound + 8 * abs(total) * mp.eps) + abs(value) * _ULP
     return value, bound
 
 
@@ -111,10 +118,14 @@ def abramov(h_base: float, roof_integral: float) -> float:
 
 
 def flow_entropy_bernoulli(lam: float, g: GapProfile, tol: float = 1e-18) -> EntropyReport:
-    """Entropy of the lifted Bernoulli(lam) measure under the profile-g roof."""
+    """Entropy of the lifted Bernoulli(lam) measure under the profile-g roof.
+    ``error_bound`` is the value times the integral's relative bound plus
+    the rounding of ``shannon_binary`` (5 units: each of its terms is a
+    logarithm within an ulp and two or three more roundings, and the terms
+    share a sign) and one unit for the quotient."""
     integral, bound = _integral_with_bound(lam, g, tol)
     value = abramov(shannon_binary(lam), integral)
-    rel = bound / integral if integral else 0.0
+    rel = bound / integral + 6 * _ULP
     return EntropyReport(value, g.series_kind, error_bound=abs(value) * rel)
 
 

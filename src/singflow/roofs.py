@@ -8,11 +8,14 @@ defined iff the series sum_k g(k) diverges.
 
 Bernoulli-measure series for these profiles are evaluated with mpmath so
 that parameters as small as 1e-12 keep full accuracy; closed forms are used
-wherever a family has one.
+wherever a family has one.  Every series runs under its own local precision
+(``mp.workdps``) and never changes mpmath's global context, and each can
+return a derived bound on its error next to its value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -25,8 +28,14 @@ INADMISSIBLE = "inadmissible"
 # Documented extension of the log-harmonic profile below its natural domain.
 LOG_HARMONIC_AT_ONE = 1.0 / math.log(2.0)
 
-_MP_DPS = 40
+# Decimal digits the series and the entropy quotient are evaluated at; the
+# log-harmonic series needs only 30 for its doubles and runs at that.
+MP_DPS = 40
+_LOG_HARMONIC_DPS = 30
 _MAX_EXPLICIT_TERMS = 10 ** 6
+# mpmath's closed forms (log, polylog) and the few operations around them
+# are each good to about an ulp; a generous count for all of them
+_CLOSED_FORM_ULPS = 64
 
 
 class UntaggedTableError(ValueError):
@@ -37,8 +46,87 @@ class ProfileResourceError(RuntimeError):
     """An exact evaluation would need too many explicit terms."""
 
 
-def _mp(x):
-    return mp.mpf(x)
+def _rounding(magnitude, ops: int) -> mp.mpf:
+    """Bound on the rounding error of ``ops`` operations on values of at most
+    ``magnitude``, at the working precision."""
+    return ops * abs(magnitude) * mp.eps
+
+
+def _series(dps: int):
+    """Decorator for ``bernoulli_series``: the decorated method takes lam as
+    an mpf and returns (value, absolute error bound).  The public method
+    evaluates it under ``dps`` digits and returns the value, or the pair
+    with ``with_bound=True``."""
+    def decorate(method):
+        @functools.wraps(method)
+        def bernoulli_series(self, lam, with_bound=False):
+            with mp.workdps(dps):
+                value, bound = method(self, mp.mpf(lam))
+            return (value, bound) if with_bound else value
+        return bernoulli_series
+    return decorate
+
+
+def _closed_form(value) -> tuple:
+    return value, _rounding(value, _CLOSED_FORM_ULPS)
+
+
+def _head_swap(head, profile: "GapProfile", lam) -> tuple:
+    """(value, bound) of sum_k h(k) x^k, x = (1-lam)^2, where h(k) is the
+    k-th of the ``head`` values for k = 1..len(head) and ``profile.value(k)``
+    beyond: the profile's series plus the explicit differences of the head.
+    The bound is the profile's plus the rounding of the head, whose k-th
+    power of x carries k roundings."""
+    x = (1 - lam) ** 2
+    series, bound = profile.bernoulli_series(lam, with_bound=True)
+    diff = magnitude = mp.mpf(0)
+    xk = mp.mpf(1)
+    m = 0
+    for m, v in enumerate(head, start=1):
+        xk *= x
+        term = (mp.mpf(v) - profile.value(m)) * xk
+        diff += term
+        magnitude += abs(term)
+    value = series + diff
+    return value, bound + _rounding(magnitude, 2 * m + 4) + _rounding(value, 1)
+
+
+def _log_harmonic_derivatives(c, n: int, order: int) -> list:
+    """Taylor coefficients at t = n, up to h^order, of the log-harmonic term
+    e^{-ct}/(t log t): the product of the series of e^{-c(n+h)}, 1/(n+h) and
+    1/log(n+h) = 1/(log n + sum_m (-1)^{m+1} (h/n)^m / m).  The m-th
+    derivative at n is m! times the m-th coefficient."""
+    decay = [mp.exp(-c * n)]
+    inverse = [mp.mpf(1) / n]
+    for m in range(1, order + 1):
+        decay.append(decay[-1] * -c / m)
+        inverse.append(inverse[-1] / -n)
+    log_n = mp.log(n)
+    # log(n+h) - log n: coefficient m at index m-1 is -n * inverse[m] / m
+    log_tail = [-n * inverse[m] / m for m in range(1, order + 1)]
+    reciprocal = [1 / log_n]
+    for m in range(1, order + 1):
+        reciprocal.append(-mp.fdot(log_tail[:m], reciprocal[m - 1::-1]) / log_n)
+
+    def times(a, b):
+        return [mp.fdot(a[:m + 1], b[m::-1]) for m in range(order + 1)]
+    return times(decay, times(inverse, reciprocal))
+
+
+def _log_harmonic_integral(c, n: int) -> tuple:
+    """(value, bound) of the integral of e^{-ct}/(t log t) over [n, inf).
+    After t = e^u it is the integral of e^{-c e^u}/u, whose knee c e^u = 1
+    sits at u0 = log(1/c); quad runs on finite breakpoints around it (an
+    infinite endpoint on this integrand can stall quad for minutes), and the
+    part beyond the last point U is below E1(c e^U)/U < e^{-c e^U}/(c e^U U)."""
+    lo = mp.log(n)
+    u0 = -mp.log(c)
+    points = [lo] + [u for u in (u0 - 3, u0, u0 + 2, u0 + 6) if u > lo]
+    value = error = mp.mpf(0)
+    if len(points) > 1:
+        value, error = mp.quad(lambda u: mp.exp(-c * mp.exp(u)) / u, points, error=True)
+    top = c * mp.exp(points[-1])
+    return value, error + mp.exp(-top) / (top * points[-1])
 
 
 def _one_minus_x(lam: mp.mpf) -> mp.mpf:
@@ -69,8 +157,10 @@ class GapProfile:
         """Whether sum_k g(k) = +inf (decided per family, not numerically)."""
         raise NotImplementedError
 
-    def bernoulli_series(self, lam) -> mp.mpf:
-        """sum_{k>=1} g(k) x^k with x = (1-lam)^2, full precision."""
+    def bernoulli_series(self, lam, with_bound=False):
+        """sum_{k>=1} g(k) x^k with x = (1-lam)^2 as an mpf well beyond double
+        precision; with ``with_bound=True`` the pair (value, absolute error
+        bound)."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -103,9 +193,9 @@ class Harmonic(GapProfile):
     def series_diverges(self):
         return True
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        lam = _mp(lam)
-        return -_mp(self.l) * mp.log(_one_minus_x(lam))
+        return _closed_form(-mp.mpf(self.l) * mp.log(_one_minus_x(lam)))
 
     def spec(self):
         return f"harmonic:{self.l:g}"
@@ -136,10 +226,10 @@ class Power(GapProfile):
     def series_diverges(self):
         return self.alpha <= 1
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        lam = _mp(lam)
         x = (1 - lam) ** 2
-        return mp.polylog(_mp(self.alpha), x)
+        return _closed_form(mp.polylog(mp.mpf(self.alpha), x))
 
     def spec(self):
         return f"power:{self.alpha:g}"
@@ -149,7 +239,8 @@ class LogHarmonic(GapProfile):
     """g(k) = 1/(k log k) for k >= 2; g(1) uses the documented extension
     1/(1*log 2)."""
 
-    _HEAD = 1000  # explicit terms before the Euler-Maclaurin tail
+    _HEAD = 64          # explicit terms before the Euler-Maclaurin tail
+    _EM_TERMS = 10      # Bernoulli-number corrections of the tail
 
     def __init__(self, g0: float = 1.0):
         self.g0 = float(g0)
@@ -165,13 +256,30 @@ class LogHarmonic(GapProfile):
     def series_diverges(self):
         return True
 
+    @_series(_LOG_HARMONIC_DPS)
     def bernoulli_series(self, lam):
-        lam = _mp(lam)
+        """Explicit head for k < N, then the Euler-Maclaurin tail
+        sum_{k>=N} g(k) = int_N^inf g + g(N)/2 - sum_j B_2j/(2j)! g^(2j-1)(N) + R
+        for g(t) = x^t/(t log t) = e^{-ct}/(t log t).  g is completely
+        monotone on t > 1 (a product of e^{-ct}, 1/t and 1/log t), so every
+        even derivative is positive and R lies between 0 and the first
+        omitted correction, which is the tail's bound."""
+        n, terms = self._HEAD, self._EM_TERMS
         x = (1 - lam) ** 2
-        head = _mp(LOG_HARMONIC_AT_ONE) * x
-        head += mp.fsum(mp.power(x, k) / (k * mp.log(k)) for k in range(2, self._HEAD))
-        tail = mp.sumem(lambda t: mp.power(x, t) / (t * mp.log(t)), [self._HEAD, mp.inf])
-        return head + tail
+        c = -2 * mp.log1p(-lam)
+        head = mp.mpf(LOG_HARMONIC_AT_ONE) * x
+        xk = x
+        for k in range(2, n):
+            xk *= x
+            head += xk / (k * mp.log(k))
+        coeffs = _log_harmonic_derivatives(c, n, 2 * terms + 1)
+        # B_2j/(2j)! g^(2j-1)(N) = B_2j/(2j) times the (2j-1)-th coefficient
+        tail = coeffs[0] / 2 - mp.fsum(mp.bernoulli(2 * j) / (2 * j) * coeffs[2 * j - 1]
+                                       for j in range(1, terms + 1))
+        omitted = abs(mp.bernoulli(2 * terms + 2) / (2 * terms + 2) * coeffs[2 * terms + 1])
+        integral, integral_bound = _log_harmonic_integral(c, n)
+        value = head + tail + integral
+        return value, omitted + integral_bound + _rounding(value, 4 * n)
 
     def spec(self):
         return "logharmonic"
@@ -200,11 +308,11 @@ class Geometric(GapProfile):
     def series_diverges(self):
         return False
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        lam = _mp(lam)
         x = (1 - lam) ** 2
-        rx = _mp(self.rho) * x
-        return _mp(self.c) * rx / (1 - rx)
+        rx = mp.mpf(self.rho) * x
+        return _closed_form(mp.mpf(self.c) * rx / (1 - rx))
 
     def spec(self):
         return f"geometric:{self.rho:g}:{self.c:g}"
@@ -230,11 +338,11 @@ class ConstantProfile(GapProfile):
     def series_diverges(self):
         return True
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        lam = _mp(lam)
         x = (1 - lam) ** 2
         # c * x/(1-x) with 1-x = lam(2-lam) exactly
-        return _mp(self.c) * x / _one_minus_x(lam)
+        return _closed_form(mp.mpf(self.c) * x / _one_minus_x(lam))
 
     def spec(self):
         return f"constprofile:{self.c:g}"
@@ -257,8 +365,9 @@ class ZeroProfile(GapProfile):
     def series_diverges(self):
         return False
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        return mp.mpf(0)
+        return mp.mpf(0), mp.mpf(0)
 
     def spec(self):
         return "zero"
@@ -295,16 +404,11 @@ class Table(GapProfile):
                 "admissibility of a table profile needs a declared tail")
         return self.tail.series_diverges()
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
         if self.tail is None:
             raise UntaggedTableError("table profile has no declared tail")
-        lam = _mp(lam)
-        x = (1 - lam) ** 2
-        m = len(self.table)
-        head = mp.fsum(_mp(v) * mp.power(x, k) for k, v in enumerate(self.table, start=1))
-        tail_full = self.tail.bernoulli_series(lam)
-        tail_head = mp.fsum(_mp(self.tail.value(k)) * mp.power(x, k) for k in range(1, m + 1))
-        return head + (tail_full - tail_head)
+        return _head_swap(self.table, self.tail, lam)
 
     def spec(self):
         tail = "?" if self.tail is None else self.tail.spec()
@@ -365,20 +469,17 @@ class Truncated(GapProfile):
                 hi = mid
         return hi, base_below
 
+    @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        lam = _mp(lam)
-        x = (1 - lam) ** 2
         kstar, base_below = self._crossover()
         below = self.base if base_below else Harmonic(self.a, g0=self.g0)
         if kstar is None:
-            return below.bernoulli_series(lam)
+            return below.bernoulli_series(lam, with_bound=True)
         above = Harmonic(self.a, g0=self.g0) if base_below else self.base
         if kstar > _MAX_EXPLICIT_TERMS:
             raise ProfileResourceError(
                 f"truncation crossover at k={kstar} exceeds the explicit-term cap")
-        head = mp.fsum(_mp(below.value(k)) * mp.power(x, k) for k in range(1, kstar))
-        above_head = mp.fsum(_mp(above.value(k)) * mp.power(x, k) for k in range(1, kstar))
-        return head + (above.bernoulli_series(lam) - above_head)
+        return _head_swap((below.value(k) for k in range(1, kstar)), above, lam)
 
     def spec(self):
         return f"trunc:{self.a:g}:{self.base.spec()}"
@@ -488,5 +589,3 @@ def parse_roof_spec(text: str) -> RoofFunction:
             raise RoofSpecError(f"bad roof spec {text!r}: {exc}") from exc
     return RoofFunction.from_profile(parse_profile_spec(text))
 
-
-mp.mp.dps = max(mp.mp.dps, _MP_DPS)

@@ -161,3 +161,19 @@ def test_report_stdout_is_pinned(boundary, code, digest, capsys):
                            "--grid", "1e-3..1e-6", "--boundary", boundary], capsys)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_resource_error_exits_two_without_traceback(capsys):
+    # min(1/(k log k), 0.05/k) switches branch only at k = 485,165,196
+    code, out, err = run_cli(["entropy-scan", "--roof", "trunc:0.05:logharmonic",
+                              "--grid", "1e-3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "485165196" in err
+
+
+def test_unwritable_output_exits_two_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["codec", "encode", "--output", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "x.csv" in err
+    assert not target.exists()

@@ -107,6 +107,38 @@ def test_flow_entropy_log_harmonic_grows():
     assert r12 > r6
 
 
+def test_log_harmonic_ratio_enclosure_excludes_three():
+    """Evidence for check C3 without the library's series: an explicit head
+    below N = 2^16 plus the integral test for the decreasing tail,
+    int_N^inf g <= sum_{k>=N} g(k) <= g(N) + int_N^inf g, encloses the
+    entropy ratio at lam = 1e-12 around 2.3827 and far below 3.0."""
+    lam, n = 1e-12, 2 ** 16
+    with mp.workdps(30):
+        mlam = mp.mpf(lam)
+        c = -2 * mp.log1p(-mlam)          # x^k = e^{-ck}
+        k = np.arange(2, n, dtype=np.float64)
+        # float64 terms are good to a few ulps each: far inside 1e-12 relative
+        head = math.exp(-float(c)) / LOG2 + float(np.sum(np.exp(-float(c) * k) / (k * np.log(k))))
+
+        def g(t):
+            return mp.exp(-c * t) / (t * mp.log(t))
+        top = 80 / c                      # g beyond it integrates to below e^-80
+        points = [mp.mpf(n)]
+        while 10 * points[-1] < top:
+            points.append(10 * points[-1])
+        integral, quad_error = mp.quad(g, points + [top], error=True)
+        beyond = mp.exp(-c * top) / (c * top * mp.log(top))
+        slack = 1e-12 * head + quad_error
+        low = head + integral - slack
+        high = head + integral + beyond + g(n) + slack
+        h = -mlam * mp.log(mlam) - (1 - mlam) * mp.log1p(-mlam)
+        weight = mlam * (2 - mlam) / (1 - mlam)
+        ratio_low, ratio_high = h / (mlam + weight * high), h / (mlam + weight * low)
+    assert ratio_low < 2.3827374 < ratio_high < 3.0
+    assert ratio_high - ratio_low < 1e-6
+    assert ratio_low <= flow_entropy_bernoulli(lam, LogHarmonic()).value <= ratio_high
+
+
 def test_singular_limit_scan_harmonic():
     scan = singular_limit_scan(Harmonic(1.0), GRID)
     assert scan.target == 0.5

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -7,8 +11,8 @@ import pytest
 from singflow import (ADMISSIBLE, INADMISSIBLE, BitSequence, ConstantProfile,
                       Geometric, Harmonic, LogHarmonic, Power, RoofFunction,
                       RoofSpecError, Table, Truncated, UntaggedTableError,
-                      ZeroProfile, admissibility_check, parse_roof_spec,
-                      roof_eval)
+                      ZeroProfile, admissibility_check, flow_entropy_bernoulli,
+                      parse_roof_spec, roof_eval)
 
 
 def test_roof_eval_constant():
@@ -128,3 +132,94 @@ def test_roof_function_validation():
         RoofFunction()
     with pytest.raises(TypeError):
         Truncated(Geometric(0.5), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# precision, error bounds and the log-harmonic series
+
+FAMILIES = [
+    Harmonic(1.5), Power(0.5), Power(1.5), LogHarmonic(), Geometric(0.5, c=2.0),
+    ConstantProfile(0.7), ZeroProfile(), Table([0.9, 0.8, 0.7], tail=Power(0.5)),
+    Truncated(Power(0.5), 2.0), Truncated(LogHarmonic(), 0.4),
+]
+
+
+def test_import_leaves_mpmath_precision_alone():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import mpmath, singflow, singflow.cli; assert mpmath.mp.dps == 15, mpmath.mp.dps"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("profile", FAMILIES, ids=lambda g: g.spec())
+def test_results_do_not_depend_on_the_callers_precision(profile):
+    results = {}
+    for dps in (15, 60):
+        with mp.workdps(dps):
+            reports = [flow_entropy_bernoulli(lam, profile) for lam in (1e-3, 1e-9)]
+            results[dps] = ([(r.value.hex(), r.error_bound.hex()) for r in reports],
+                            profile.bernoulli_series(1e-3, with_bound=True))
+    assert results[15] == results[60]
+    assert isinstance(profile.bernoulli_series(1e-3), mp.mpf)
+
+
+@pytest.mark.parametrize("profile", FAMILIES, ids=lambda g: g.spec())
+def test_error_bound_is_positive_and_finite(profile):
+    for lam in (0.3, 1e-4, 1e-12):
+        report = flow_entropy_bernoulli(lam, profile)
+        assert 0 < report.error_bound < math.inf
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-6, 1e-12])
+def test_log_harmonic_bound_is_below_double_precision(lam):
+    value, bound = LogHarmonic().bernoulli_series(lam, with_bound=True)
+    assert 0 < bound < 1e-25 * value
+    report = flow_entropy_bernoulli(lam, LogHarmonic())
+    assert 0 < report.error_bound < 1e-15 * report.value
+
+
+def sumem_log_harmonic(lam):
+    """Oracle: the log-harmonic series as the library summed it before its
+    explicit tail, 999 explicit terms and then mpmath's Euler-Maclaurin
+    summation (sumem, numerical derivatives, an integral to infinity) from
+    k = 1000, at 40 digits."""
+    with mp.workdps(40):
+        lam = mp.mpf(lam)
+        x = (1 - lam) ** 2
+        head = mp.mpf(1.0 / math.log(2.0)) * x
+        head += mp.fsum(mp.power(x, k) / (k * mp.log(k)) for k in range(2, 1000))
+        tail = mp.sumem(lambda t: mp.power(x, t) / (t * mp.log(t)), [1000, mp.inf])
+        return head + tail
+
+
+def oracle_entropy(lam, series):
+    """Abramov's quotient of the Bernoulli entropy over g0*lam + the weighted
+    series (g0 = 1), assembled at 40 digits and rounded once to a double."""
+    with mp.workdps(40):
+        mlam = mp.mpf(lam)
+        integral = float(mlam + mlam * (2 - mlam) / (1 - mlam) * series)
+    return (-lam * math.log(lam) - (1.0 - lam) * math.log1p(-lam)) / integral
+
+
+def truncated_from(series, lam, a):
+    """Series of min(g(k), a/k) for the log-harmonic g: a/k below the first k
+    with k g(k) <= a, g from there on (k g(k) decreases)."""
+    def g(k):
+        return 1.0 / math.log(2.0) if k == 1 else 1.0 / (k * math.log(k))
+    kstar = 1
+    while not g(kstar) * kstar <= a:
+        kstar += 1
+    with mp.workdps(40):
+        x = (1 - mp.mpf(lam)) ** 2
+        head = mp.fsum(mp.mpf(a / k) * mp.power(x, k) for k in range(1, kstar))
+        g_head = mp.fsum(mp.mpf(g(k)) * mp.power(x, k) for k in range(1, kstar))
+        return head + (series - g_head)
+
+
+def test_log_harmonic_matches_the_sumem_oracle():
+    for lam in (1e-2, 3e-4, 1e-5, 2e-7, 1e-8, 5e-10, 1e-11, 1.2e-12):
+        series = sumem_log_harmonic(lam)
+        assert flow_entropy_bernoulli(lam, LogHarmonic()).value == oracle_entropy(lam, series)
+        for a in (0.3, 0.6):
+            got = flow_entropy_bernoulli(lam, Truncated(LogHarmonic(), a)).value
+            assert got == oracle_entropy(lam, truncated_from(series, lam, a)), (lam, a)
