@@ -76,6 +76,8 @@ def _random_bits(rng) -> BitSequence:
 
 
 def _run_metric(args: argparse.Namespace, out) -> int:
+    if args.budget < 2:
+        raise ValueError("chain budget must be at least 2")
     rng = np.random.default_rng(args.seed)
     f = parse_roof_spec(args.roof_spec)
     failures = 0
@@ -141,7 +143,7 @@ def _run_scan(args: argparse.Namespace, out) -> int:
     roof = parse_roof_spec(args.roof_spec)
     if roof.is_constant:
         raise ValueError("entropy scans need a gap-profile roof")
-    result = ent.singular_limit_scan(roof.profile, parse_grid(args.grid), args.tol)
+    result = ent.singular_limit_scan(roof.profile, parse_grid(args.grid))
     if args.fmt == "json":
         out.write(result.to_json() + "\n")
     else:
@@ -177,7 +179,7 @@ def _run_report(args: argparse.Namespace, out) -> int:
     for name, fn in SUITES.items():
         ok, detail = fn(args.gap_max, args.kplus_max, args.boundary)
         suites[name] = {"pass": ok, "detail": detail}
-    scan = ent.singular_limit_scan(Harmonic(1.0), parse_grid(args.grid), args.tol)
+    scan = ent.singular_limit_scan(Harmonic(1.0), parse_grid(args.grid))
     fibers = cdc.fiber_sfts()
     payload = {
         "seed": args.seed,
@@ -205,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = {
         "--boundary": dict(choices=[cdc.ADJUSTED, cdc.PAPER], default=cdc.ADJUSTED),
         "--seed": dict(type=int, default=2024),
-        "--tol": dict(type=float, default=1e-18),
         "--max-crossings": dict(type=int, default=10 ** 6),
         "--output": dict(default="-"),
     }
@@ -219,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(opt, **shared[opt])
         return p
 
-    p = command("entropy-scan", _run_scan, "singular-limit entropy table", "--seed", "--tol")
+    p = command("entropy-scan", _run_scan, "singular-limit entropy table", "--seed")
     p.add_argument("--roof", dest="roof_spec", required=True)
     p.add_argument("--grid", default="1e-3..1e-12")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
@@ -241,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--budget", type=int, default=6)
 
-    p = command("report", _run_report, "aggregate JSON report", "--boundary", "--seed", "--tol")
+    p = command("report", _run_report, "aggregate JSON report", "--boundary", "--seed")
     p.add_argument("--grid", default="1e-3..1e-8")
     p.add_argument("--gap-max", type=int, default=2000)
     p.add_argument("--kplus-max", type=int, default=1000)

@@ -427,7 +427,9 @@ def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
     per_l, per_r = len(x.left), len(x.right)
     lo = min(x.start, 0) - 3 * per_l - 1
     hi = max(x.end, 0) + 3 * per_r + 1
-    ones = [lo + i for i, b in enumerate(x.segment(lo, hi + 1)) if b == 1]
+    ones, b = [], lo - 1
+    while (b := x.ones_around(b)[1]) <= hi:
+        ones.append(b)
 
     pos0 = max(p for p in ones if p <= 0)
     pos1 = min(p for p in ones if p > pos0)
@@ -562,23 +564,12 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
 # ---------------------------------------------------------------------------
 # The accelerated roof and the fiber subshifts
 
-def _birkhoff_over_step(km, kp, profile, boundary: str = ADJUSTED) -> float:
-    """Sum of g over one accelerated step starting at gap pair (km, kp)."""
-    length = step_length(GapPair(km, kp), boundary)
-    if length > _STEP_CAP:
-        raise RuntimeError(f"step of length {length} exceeds the summation cap")
-    ks = np.arange(length, dtype=float)
-    if km == INF:
-        dist = kp - ks
-    elif kp == INF:
-        dist = km + ks
-    else:
-        dist = np.minimum(km + ks, kp - ks)
-    terms = profile.values(dist.astype(np.int64)) if dist.min() >= 1 else None
-    if terms is None:
-        # only the leading term of an R1 step can sit on the origin cylinder
-        terms = [profile.g0 if d == 0 else profile.value(int(d)) for d in dist]
-    return math.fsum(terms)
+def _birkhoff_over_step(km, kp, f: RoofFunction, boundary: str = ADJUSTED) -> float:
+    """Sum of the roof over one accelerated step starting at gap pair (km, kp)."""
+    step = step_length(GapPair(km, kp), boundary)
+    if step > _STEP_CAP:
+        raise RuntimeError(f"step of length {step} exceeds the summation cap")
+    return math.fsum(f.value_at_gap(min(km + j, kp - j)) for j in range(step))
 
 
 def roof_prime(x: BitSequence, f: RoofFunction, boundary: str = ADJUSTED) -> float:
@@ -586,15 +577,14 @@ def roof_prime(x: BitSequence, f: RoofFunction, boundary: str = ADJUSTED) -> flo
     accelerated step, and l log 2 at the zero sequence."""
     if not f.is_singular:
         raise ValueError("the accelerated roof is defined for gap-profile roofs")
-    profile = f.profile
     if x.is_zero():
-        l = profile.kg_limit()
+        l = f.profile.kg_limit()
         if not 0 < l < INF:
             raise ValueError(
                 "evaluating at the zero sequence needs a finite positive limit of k*g(k)")
         return l * math.log(2.0)
     k = gap_pair(x)
-    return _birkhoff_over_step(k.k_minus, k.k_plus, profile, boundary)
+    return _birkhoff_over_step(k.k_minus, k.k_plus, f, boundary)
 
 
 def roof_prime_continuity_probe(profile, K: int, boundary: str = ADJUSTED) -> float:
@@ -614,8 +604,8 @@ def roof_prime_continuity_probe(profile, K: int, boundary: str = ADJUSTED) -> fl
         (2 * K, 3 * K), (2 * K - 1, 2 * K),    # contracting entry
         (2 * K, 2 * K), (3 * K, 2 * K), (100 * K, 2 * K),  # halving phase
     ]
-    return max(abs(_birkhoff_over_step(km, kp, profile, boundary) - target)
-               for km, kp in pairs)
+    f = RoofFunction.from_profile(profile)
+    return max(abs(_birkhoff_over_step(km, kp, f, boundary) - target) for km, kp in pairs)
 
 
 def fiber_sfts() -> tuple:

@@ -84,13 +84,10 @@ def shannon_binary(lam: float) -> float:
 _ULP = 2.0 ** -53  # unit roundoff of a double
 
 
-def _integral_with_bound(lam: float, g: GapProfile, tol: float) -> tuple[float, float]:
-    """The roof integral as a double and a derived bound on its error.  Every
-    series is good far beyond double precision, so ``tol`` is only checked."""
+def _integral_with_bound(lam: float, g: GapProfile) -> tuple[float, float]:
+    """The roof integral as a double and a derived bound on its error."""
     if not 0.0 < lam < 1.0:
         raise ValueError("Bernoulli parameter must lie strictly in (0,1)")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     with mp.workdps(MP_DPS):
         mlam = mp.mpf(lam)
         series, series_bound = g.bernoulli_series(mlam, with_bound=True)
@@ -103,10 +100,10 @@ def _integral_with_bound(lam: float, g: GapProfile, tol: float) -> tuple[float, 
     return value, bound
 
 
-def roof_integral_bernoulli(lam: float, g: GapProfile, tol: float = 1e-18) -> float:
+def roof_integral_bernoulli(lam: float, g: GapProfile) -> float:
     """Exact-series value of the roof integral against the Bernoulli(lam)
     measure: g0*lam + sum_{k>=1} g(k) lam(2-lam)(1-lam)^(2k-1)."""
-    value, _ = _integral_with_bound(lam, g, tol)
+    value, _ = _integral_with_bound(lam, g)
     return value
 
 
@@ -117,13 +114,13 @@ def abramov(h_base: float, roof_integral: float) -> float:
     return h_base / roof_integral
 
 
-def flow_entropy_bernoulli(lam: float, g: GapProfile, tol: float = 1e-18) -> EntropyReport:
+def flow_entropy_bernoulli(lam: float, g: GapProfile) -> EntropyReport:
     """Entropy of the lifted Bernoulli(lam) measure under the profile-g roof.
     ``error_bound`` is the value times the integral's relative bound plus
     the rounding of ``shannon_binary`` (5 units: each of its terms is a
     logarithm within an ulp and two or three more roundings, and the terms
     share a sign) and one unit for the quotient."""
-    integral, bound = _integral_with_bound(lam, g, tol)
+    integral, bound = _integral_with_bound(lam, g)
     value = abramov(shannon_binary(lam), integral)
     rel = bound / integral + 6 * _ULP
     return EntropyReport(value, g.series_kind, error_bound=abs(value) * rel)
@@ -172,7 +169,7 @@ class ScanResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def singular_limit_scan(g: GapProfile, lam_grid, tol: float = 1e-18) -> ScanResult:
+def singular_limit_scan(g: GapProfile, lam_grid) -> ScanResult:
     """Row per lambda of (integral, entropy), plus the trend against the
     declared limit: 1/(2l) for finite positive l = lim k g(k), 0 for l = inf,
     divergence for l = 0."""
@@ -183,7 +180,7 @@ def singular_limit_scan(g: GapProfile, lam_grid, tol: float = 1e-18) -> ScanResu
         raise ValueError("grid must be strictly decreasing")
     rows = []
     for lam in grid:
-        integral, _ = _integral_with_bound(lam, g, tol)
+        integral, _ = _integral_with_bound(lam, g)
         rows.append(ScanRow(lam, integral, abramov(shannon_binary(lam), integral)))
     l = g.kg_limit()
     ents = [r.entropy for r in rows]

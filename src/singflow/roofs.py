@@ -20,7 +20,7 @@ import math
 
 import mpmath as mp
 
-from .sequences import INF, BitSequence
+from .sequences import INF, MAX_GAP, BitSequence
 
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
@@ -144,11 +144,6 @@ class GapProfile:
     def value(self, k: int) -> float:
         raise NotImplementedError
 
-    def values(self, ks):
-        import numpy as np
-
-        return np.array([self.value(int(k)) for k in ks], dtype=float)
-
     def kg_limit(self) -> float:
         """lim_k k*g(k); may be 0 or math.inf."""
         raise NotImplementedError
@@ -184,9 +179,6 @@ class Harmonic(GapProfile):
     def value(self, k):
         return self.l / k
 
-    def values(self, ks):
-        return self.l / ks
-
     def kg_limit(self):
         return self.l
 
@@ -214,9 +206,6 @@ class Power(GapProfile):
 
     def value(self, k):
         return k ** (-self.alpha)
-
-    def values(self, ks):
-        return ks ** (-self.alpha)
 
     def kg_limit(self):
         if self.alpha < 1:
@@ -544,14 +533,13 @@ class RoofFunction:
 
 
 def roof_eval(f: RoofFunction, x: BitSequence, pos: int = 0) -> float:
-    """f(T^pos x); gap-profile roofs return g(k) with k the distance from
-    coordinate pos to the nearest 1, 0 exactly at the all-zero sequence."""
+    """f(T^pos x); gap-profile roofs return ``value_at_gap`` of the distance
+    from coordinate pos to the nearest 1 (infinite beyond MAX_GAP)."""
     if f.is_constant:
         return f.constant
-    if x.at(pos) == 1:
-        return f.profile.g0
-    k = x.gap_pair_at(pos)
-    return f.value_at_gap(min(k.k_minus, k.k_plus))
+    a, b = x.ones_around(pos)
+    k = min(INF if a is None else pos - a, INF if b is None else b - pos)
+    return f.value_at_gap(INF if k > MAX_GAP else k)
 
 
 # Mini-language for roofs:  const:c | harmonic:l | power:alpha | logharmonic

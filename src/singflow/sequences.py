@@ -147,7 +147,7 @@ class BitSequence(SymbolSequence):
     representation of the shift's fixed point.
     """
 
-    __slots__ = ("_wbytes",)
+    __slots__ = ("_wbytes", "_left2", "_right2")
 
     def __init__(self, window=(), start=0, left=(0,), right=(0,)):
         super().__init__(window, start, left, right)
@@ -155,6 +155,8 @@ class BitSequence(SymbolSequence):
                 or not set(self.right) <= {0, 1}:
             raise ValueError("bit sequences hold 0/1 symbols")
         object.__setattr__(self, "_wbytes", bytes(self.window))
+        object.__setattr__(self, "_left2", bytes(self.left * 2))
+        object.__setattr__(self, "_right2", bytes(self.right * 2))
 
     @classmethod
     def zero(cls) -> "BitSequence":
@@ -181,62 +183,40 @@ class BitSequence(SymbolSequence):
     def is_zero(self) -> bool:
         return not self.window and self.left == (0,) and self.right == (0,)
 
-    def last_one_at_or_before(self, p0: int):
-        """Largest coordinate q <= p0 with x_q = 1, or None."""
-        e = self.end
-        if p0 >= e:
-            w = self.right
-            n = len(w)
-            lo = max(0, p0 - e - n + 1)
-            for j in range(p0 - e, lo - 1, -1):
-                if w[j % n]:
-                    return e + j
-        if p0 >= self.start:
-            hit = self._wbytes.rfind(1, 0, min(p0, e - 1) - self.start + 1)
-            if hit >= 0:
-                return self.start + hit
-        w = self.left
-        n = len(w)
-        top = min(p0, self.start - 1)
-        for q in range(top, top - n, -1):
-            j = self.start - 1 - q
-            if w[n - 1 - (j % n)]:
-                return q
-        return None
-
-    def first_one_at_or_after(self, p0: int):
-        """Smallest coordinate q >= p0 with x_q = 1, or None."""
-        if p0 < self.start:
-            w = self.left
-            n = len(w)
-            # scanning one period suffices: beyond it the tail repeats
-            for q in range(p0, min(self.start, p0 + n)):
-                j = self.start - 1 - q
-                if w[n - 1 - (j % n)]:
-                    return q
-        if p0 < self.end:
-            hit = self._wbytes.find(1, max(p0, self.start) - self.start)
-            if hit >= 0:
-                return self.start + hit
-        w = self.right
-        n = len(w)
-        j0 = max(0, p0 - self.end)
-        for j in range(j0, j0 + n):
-            if w[j % n]:
-                return self.end + j
-        return None
+    def ones_around(self, pos: int):
+        """(a, b): the last 1 at or before ``pos`` and the first 1 after it,
+        each None if there is none.  The window is searched with bytes
+        find/rfind, a periodic tail within one period of its word."""
+        s, e = self.start, self.end
+        a = _tail_one(self._right2, e, pos, False) if pos >= e else None
+        if a is None or a < e:
+            h = self._wbytes.rfind(1, 0, max(min(pos + 1, e) - s, 0))
+            a = s + h if h >= 0 else _tail_one(self._left2, s, min(pos, s - 1), False)
+        b = _tail_one(self._left2, s, pos + 1, True) if pos + 1 < s else None
+        if b is None or b >= s:
+            h = self._wbytes.find(1, max(pos + 1 - s, 0))
+            b = s + h if h >= 0 else _tail_one(self._right2, e, max(pos + 1, e), True)
+        return a, b
 
     def gap_pair_at(self, pos: int) -> "GapPair":
         """Gap coordinates of the shifted sequence with origin at ``pos``."""
-        left = self.last_one_at_or_before(pos)
-        right = self.first_one_at_or_after(pos + 1)
-        km = INF if left is None else pos - left
-        kp = INF if right is None else right - pos
-        if km > MAX_GAP:
-            km = INF
-        if kp > MAX_GAP:
-            kp = INF
+        a, b = self.ones_around(pos)
+        km = INF if a is None or pos - a > MAX_GAP else pos - a
+        kp = INF if b is None or b - pos > MAX_GAP else b - pos
         return GapPair(km, kp)
+
+
+def _tail_one(word2: bytes, anchor: int, p: int, after: bool):
+    """The 1 nearest to coordinate p, at or after it if ``after``, else at
+    or before it, in the tiling of a word (given doubled) whose first symbol
+    sits at ``anchor``; None if the word has no 1."""
+    n = len(word2) // 2
+    i = (p - anchor) % n
+    if after:
+        h = word2.find(1, i, i + n)
+        return None if h < 0 else p + h - i
+    h = word2.rfind(1, i + 1, i + n + 1)
+    return None if h < 0 else p + h - i - n
 
 
 @dataclass(frozen=True)

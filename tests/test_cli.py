@@ -131,6 +131,7 @@ def test_run_config_entrypoint(tmp_path):
 UNREAD = [
     ["entropy-scan", "--roof", "harmonic:1", "--boundary", "paper"],
     ["entropy-scan", "--roof", "harmonic:1", "--max-crossings", "10"],
+    ["entropy-scan", "--roof", "harmonic:1", "--tol", "1e-9"],
     ["codec", "encode", "--seed", "1"],
     ["codec", "encode", "--tol", "1e-9"],
     ["codec", "encode", "--max-crossings", "10"],
@@ -139,6 +140,7 @@ UNREAD = [
     ["metric", "--samples", "10", "--boundary", "paper"],
     ["metric", "--samples", "10", "--tol", "1e-9"],
     ["report", "--max-crossings", "10"],
+    ["report", "--tol", "1e-9"],
 ]
 
 
@@ -177,3 +179,9 @@ def test_unwritable_output_exits_two_without_traceback(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "x.csv" in err
     assert not target.exists()
+
+
+def test_metric_budget_below_two_writes_nothing(capsys):
+    code, out, err = run_cli(["metric", "--samples", "10", "--budget", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget" in err

@@ -399,6 +399,19 @@ def test_roof_prime_deep_expanding_phase():
     assert got == pytest.approx(0.6933972, abs=1e-6)
 
 
+def test_roof_prime_power_is_a_birkhoff_sum_of_value():
+    # the scalar law k ** -alpha summed over one step; numpy's ks ** -alpha
+    # differs from it in the last bit for some k
+    g = Power(0.5)
+    f = RoofFunction.from_profile(g)
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        km, kp = int(rng.integers(0, 3000)), int(rng.integers(1, 3000))
+        dists = [min(km + j, kp - j) for j in range(step_length(GapPair(km, kp)))]
+        want = math.fsum(g.g0 if d == 0 else g.value(d) for d in dists)
+        assert roof_prime(BitSequence.from_ones([-km, kp]), f) == want
+
+
 def test_roof_prime_positive_sampled():
     rng = np.random.default_rng(53)
     for _ in range(100):

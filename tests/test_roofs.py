@@ -106,7 +106,7 @@ def brute_series(profile, lam, terms=60_000):
     tail far below double precision.
     """
     ks = np.arange(1, terms + 1, dtype=np.float64)
-    vals = profile.values(ks.astype(np.int64))
+    vals = np.array([profile.value(k) for k in range(1, terms + 1)])
     return float(np.sum(vals * np.exp(ks * 2.0 * np.log1p(-lam))))
 
 

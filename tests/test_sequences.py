@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from singflow import (BitSequence, FlowPoint, SequenceFormatError, SymbolSequence,
-                      format_sequence_literal, gap_pair, parse_sequence_literal,
-                      seq_distance, shift)
-from singflow.sequences import _primitive
+                      format_sequence_literal, gap_pair, parse_roof_spec,
+                      parse_sequence_literal, roof_eval, seq_distance, shift)
+from singflow.sequences import MAX_GAP, _primitive
 
 INF = math.inf
 
@@ -115,6 +115,126 @@ def test_gap_pair_shift_identity_every_gap_to_ten_thousand():
                 continue
             k = gap_pair(shift(x, L))
             assert (k.k_minus, k.k_plus) == (L, g - L)
+
+
+# Oracle for the nearest-ones primitive: the two tail-scanning methods and
+# the gap-pair route of roof_eval it replaced, kept as they were.
+
+def last_one_at_or_before(x, p0):
+    e = x.end
+    if p0 >= e:
+        w = x.right
+        n = len(w)
+        lo = max(0, p0 - e - n + 1)
+        for j in range(p0 - e, lo - 1, -1):
+            if w[j % n]:
+                return e + j
+    if p0 >= x.start:
+        hit = bytes(x.window).rfind(1, 0, min(p0, e - 1) - x.start + 1)
+        if hit >= 0:
+            return x.start + hit
+    w = x.left
+    n = len(w)
+    top = min(p0, x.start - 1)
+    for q in range(top, top - n, -1):
+        j = x.start - 1 - q
+        if w[n - 1 - (j % n)]:
+            return q
+    return None
+
+
+def first_one_at_or_after(x, p0):
+    if p0 < x.start:
+        w = x.left
+        n = len(w)
+        for q in range(p0, min(x.start, p0 + n)):
+            j = x.start - 1 - q
+            if w[n - 1 - (j % n)]:
+                return q
+    if p0 < x.end:
+        hit = bytes(x.window).find(1, max(p0, x.start) - x.start)
+        if hit >= 0:
+            return x.start + hit
+    w = x.right
+    n = len(w)
+    j0 = max(0, p0 - x.end)
+    for j in range(j0, j0 + n):
+        if w[j % n]:
+            return x.end + j
+    return None
+
+
+def reference_gap_pair_at(x, pos):
+    left = last_one_at_or_before(x, pos)
+    right = first_one_at_or_after(x, pos + 1)
+    km = INF if left is None or pos - left > MAX_GAP else pos - left
+    kp = INF if right is None or right - pos > MAX_GAP else right - pos
+    return km, kp
+
+
+def reference_roof_eval(f, x, pos):
+    if f.is_constant:
+        return f.constant
+    if x.at(pos) == 1:
+        return f.profile.g0
+    k = min(reference_gap_pair_at(x, pos))
+    return 0.0 if k == INF else f.profile.value(k)
+
+
+ONES_ROOFS = [parse_roof_spec(s) for s in
+              ("harmonic:1", "power:0.5", "logharmonic", "const:2", "trunc:0.5:harmonic:2")]
+
+
+def _ones_cases(rng):
+    tails = [(0,), (1,), (1, 0), (0, 1, 1), (1, 0, 0, 0), (0, 0, 0, 0, 1),
+             (1,) + (0,) * 9]
+    for _ in range(300):
+        n = int(rng.integers(0, 12))
+        window = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        if rng.integers(0, 4) == 0:
+            window = (0,) * n  # a window without 1s
+        left, right = (tails[int(i)] for i in rng.integers(0, len(tails), size=2))
+        yield BitSequence(window, int(rng.integers(-8, 8)), left, right)
+    for word in ((1,), (0, 1), (1, 0, 0), (0, 0, 1, 0, 1), (1,) + (0,) * 12):
+        yield BitSequence.periodic(word)
+    yield BitSequence.zero()
+    yield BitSequence.from_ones([0])
+    yield BitSequence((1,), -(10 ** 6), (0,), (1,) + (0,) * 999)
+
+
+def _ones_positions(x, rng):
+    s, e = x.start, x.end
+    near = {s - 1, s, e - 1, e, 0, -1, 1}
+    near |= set(range(s - 1, min(e, s + 20) + 1))
+    for k in (1, 2, 3, 7):
+        near |= {s - k * len(x.left) - j for j in (0, 1, 2)}
+        near |= {e + k * len(x.right) + j for j in (0, 1, 2)}
+    near |= {int(v) for v in rng.integers(-60, 60, size=5)}
+    far = {10 ** 6, -(10 ** 6), 2 ** 62, -(2 ** 62), 2 ** 63, -(2 ** 63),
+           2 ** 63 + 1, -(2 ** 63) - 1}
+    return sorted(near | far)
+
+
+def test_ones_around_and_roofs_match_the_tail_scans():
+    rng = np.random.default_rng(37)
+    for x in _ones_cases(rng):
+        for pos in _ones_positions(x, rng):
+            want = (last_one_at_or_before(x, pos), first_one_at_or_after(x, pos + 1))
+            assert x.ones_around(pos) == want, (x, pos)
+            k = x.gap_pair_at(pos)
+            assert (k.k_minus, k.k_plus) == reference_gap_pair_at(x, pos), (x, pos)
+            for f in ONES_ROOFS:
+                assert roof_eval(f, x, pos) == reference_roof_eval(f, x, pos), (f, x, pos)
+
+
+def test_ones_around_far_from_a_lone_one():
+    x = BitSequence.from_ones([5])
+    assert x.ones_around(2 ** 63) == (5, None)
+    assert x.ones_around(-(2 ** 63)) == (None, 5)
+    assert x.ones_around(5) == (5, None)
+    assert x.ones_around(4) == (None, 5)
+    assert x.gap_pair_at(2 ** 63).k_minus == INF  # beyond MAX_GAP
+    assert BitSequence.zero().ones_around(0) == (None, None)
 
 
 def test_segment_agrees_with_coordinate_lookup():
