@@ -14,6 +14,7 @@ arguments: no timestamps, seeds recorded in headers, fixed column order.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -22,11 +23,10 @@ import numpy as np
 
 from . import codec as cdc
 from . import entropy as ent
-from .roofs import (Harmonic, ProfileResourceError, RoofSpecError, parse_roof_spec,
-                    roof_eval)
+from .roofs import Harmonic, ProfileResourceError, parse_roof_spec, roof_eval
 from .sequences import BitSequence
-from .suspension import (UnitPoint, bw_distance_upper, flow, flow_point,
-                         flowpoints_close, unit_roof_extension)
+from .suspension import (FlowResourceError, UnitPoint, bw_distance_upper, flow,
+                         flow_point, flowpoints_close, unit_roof_extension)
 from .verify import SUITES
 
 
@@ -252,15 +252,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = io.StringIO()  # written only once the command returns: an error writes nothing
     try:
+        code = args.run(args, out)
         if args.output == "-":
-            return args.run(args, sys.stdout)
-        with open(args.output, "w", encoding="utf-8") as out:
-            return args.run(args, out)
-    except (ValueError, RoofSpecError, cdc.DecodeError, cdc.FirstReturnStructureError,
-            ProfileResourceError, OSError) as exc:
+            sys.stdout.write(out.getvalue())
+        else:
+            with open(args.output, "w", encoding="utf-8") as dest:
+                dest.write(out.getvalue())
+    except (ValueError, ProfileResourceError, FlowResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ smallest instance is gap 4.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -410,6 +412,39 @@ def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
 # ---------------------------------------------------------------------------
 # The block code on sequences
 
+def _frame(marks: BitSequence, described: SymbolSequence, code) -> tuple:
+    """The 1s of ``marks`` that frame the block code of ``described``, as
+    ascending lists (left, middle, right), and ``code(a, b)`` of each block
+    [a, b) between consecutive marks of a list, keyed by a.
+
+    The middle runs from the last mark before both the window and 1 to the
+    first mark after both the window and 0, or from and to the outermost
+    mark where a tail has none; it holds the origin's block.  Each side
+    list holds the marks of one period of that tail of ``described`` beyond
+    the middle, sharing its inner mark, so its blocks make one period of the
+    tail; it is empty when the tail has no mark.  Blocks outside the frame
+    repeat blocks of the side lists.
+    """
+    per_l, per_r = len(described.left), len(described.right)
+    a, b = marks.ones_around(min(described.start - 1, 0))
+    c, d = marks.ones_around(max(described.end - 1, 0))
+    first, last = b if a is None else a, c if d is None else d
+    lo = first if a is None else first - per_l
+    hi = last if d is None else last + per_r
+    ones, m = [], lo - 1
+    while (m := marks.ones_around(m)[1]) is not None and m <= hi:
+        ones.append(m)
+    i, j = ones.index(first), ones.index(last)
+    parts = (ones[:i + 1] if a is not None else [], ones[i:j + 1],
+             ones[j:] if d is not None else [])
+    return (*parts, {s: code(s, t) for part in parts for s, t in zip(part, part[1:])})
+
+
+def _joined(marks: list, pieces: dict) -> tuple:
+    """The pieces of the blocks between consecutive marks, in order."""
+    return tuple(chain.from_iterable(pieces[a] for a in marks[:-1]))
+
+
 def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
     """Code image of x, aligned so that the origin letter is the one of the
     origin's own orbit position.
@@ -424,55 +459,16 @@ def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
     if 1 not in x.left or 1 not in x.right:
         raise CodecDomainError(
             "block coding needs 1s in both tails (recurrent domain)")
-    per_l, per_r = len(x.left), len(x.right)
-    lo = min(x.start, 0) - 3 * per_l - 1
-    hi = max(x.end, 0) + 3 * per_r + 1
-    ones, b = [], lo - 1
-    while (b := x.ones_around(b)[1]) <= hi:
-        ones.append(b)
-
-    pos0 = max(p for p in ones if p <= 0)
-    pos1 = min(p for p in ones if p > pos0)
-    prof0 = return_profile(pos1 - pos0, boundary)
+    pos0, pos1 = x.ones_around(0)  # the origin's block
     try:
-        q0 = prof0.offsets[:-1].index(-pos0)
+        q0 = return_profile(pos1 - pos0, boundary).offsets[:-1].index(-pos0)
     except ValueError:
         raise CodecDomainError(
             "origin is not on the accelerated orbit of its block") from None
-
-    q_left = max(p for p in ones if p <= min(pos0, x.start - per_l))
-    p_right = min(p for p in ones if p >= max(pos1, x.end + per_r))
-
-    def block_words(points):
-        words = []
-        for a, b in zip(points, points[1:]):
-            words.append((a, encode_block(b - a, boundary)))
-        return words
-
-    left_cycle = block_words([p for p in ones if q_left - per_l <= p <= q_left])
-    right_cycle = block_words([p for p in ones if p_right <= p <= p_right + per_r])
-    middle = block_words([p for p in ones if q_left <= p <= p_right])
-
-    letters: list = []
-    origin_index = None
-    for start_bit, w in middle:
-        if start_bit == pos0:
-            origin_index = len(letters) + q0
-        letters.extend(w)
-    if origin_index is None:
-        raise AssertionError("origin block not materialized")
-
-    wl = tuple(l for _, w in left_cycle for l in w)
-    wr = tuple(l for _, w in right_cycle for l in w)
-    return SymbolSequence(tuple(letters), -origin_index, wl, wr)
-
-
-def _cycle_bits(u: SymbolSequence, leaders: list) -> tuple:
-    """Bits of the blocks whose words run between consecutive leaders."""
-    bits: list = []
-    for a, b in zip(leaders, leaders[1:]):
-        bits += [1] + [0] * (decode_word(u.segment(a, b)) - 1)
-    return tuple(bits)
+    left, middle, right, words = _frame(x, x, lambda a, b: encode_block(b - a, boundary))
+    origin = q0 + sum(len(words[a]) for a in middle if a < pos0)
+    return SymbolSequence(_joined(middle, words), -origin,
+                          _joined(left, words), _joined(right, words))
 
 
 def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
@@ -483,82 +479,40 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     for l in u.window + u.left + u.right:
         if not isinstance(l, CodeLetter):
             raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
-
-    left_has = any(l.y == 1 for l in u.left)
-    right_has = any(l.y == 1 for l in u.right)
-    win_has = any(l.y == 1 for l in u.window)
-    if not (left_has or right_has or win_has):
+    leads = [tuple(int(l.y == 1) for l in w) for w in (u.window, u.left, u.right)]
+    lead = BitSequence(leads[0], u.start, *leads[1:])  # a 1 at each block leader of u
+    # the image of the zero sequence wins its collision with the all-ones one
+    if lead.is_zero() or not u.window and u.left == (ONE_X,) == u.right:
         return BitSequence.zero()
-    if not u.window and u.left == (ONE_X,) and u.right == (ONE_X,):
-        return BitSequence.zero()  # image of the zero sequence wins the collision
 
-    per_l, per_r = len(u.left), len(u.right)
-    lo = min(u.start, 0) - 3 * per_l - 1
-    hi = max(u.end, 0) + 3 * per_r + 1
-    seg = u.segment(lo, hi + 1)
-    onepos = [lo + i for i, l in enumerate(seg) if l.y == 1]
-    if not onepos:
-        raise AssertionError("ones declared but none materialized")
+    left, middle, right, blocks = _frame(
+        lead, u, lambda a, b: b"\x01" + bytes(decode_word(u.segment(a, b)) - 1))
+    if not right and any(l.y != 2 for l in u.segment(middle[-1] + 1, u.end) + u.right):
+        raise DecodeError("future-segment-letters",
+                          "an endless expanding phase uses y = 2 letters")
+    if not left and any(l.y != 4 for l in u.left + u.segment(u.start, middle[0])):
+        raise DecodeError("past-segment-letters",
+                          "an endless halving phase uses y = 4 letters")
 
-    # anchor: bit coordinate of one block leader
-    i0 = max((c for c in onepos if c <= 0), default=None)
-    if i0 is not None:
-        j1 = next((c for c in onepos if c > i0), None)
-        if j1 is None:
-            q = -i0 + 1
-            anchor_letter, anchor_bit = i0, 0 if q == 1 else -(1 << (q - 2))
+    # anchor: the bit of middle[0], from the origin's block middle[k - 1] .. middle[k]
+    k = bisect_right(middle, 0)
+    if k == 0:  # endless halving past, its parity letters from 3 - middle[0] on
+        lo = min(0, 3 - middle[0])
+        first_bit = decode_position(u.segment(lo, middle[0] + 1), -lo, no_ones_left=True).k_plus
+    else:
+        i0 = middle[k - 1]
+        if k == len(middle):  # endless expanding future
+            bit0 = -decode_position(u.segment(i0, 1), -i0, no_ones_right=True).k_minus
         else:
-            gap0 = decode_word(u.segment(i0, j1))
-            prof0 = return_profile(gap0, boundary)
-            q = -i0
-            if q >= prof0.p:
-                raise DecodeError("word-length",
-                                  "block word longer than its return time")
-            anchor_letter, anchor_bit = i0, -prof0.offsets[q]
-    else:
-        i1 = min(onepos)
-        ctx_lo = min(lo, i1 - 2 * (i1 - 0) - 4)
-        ctx = u.segment(ctx_lo, i1 + 1)
-        kpair = decode_position(ctx, 0 - ctx_lo, no_ones_left=True, boundary=boundary)
-        anchor_letter, anchor_bit = i1, kpair.k_plus
+            prof = return_profile(len(blocks[i0]), boundary)
+            if -i0 >= prof.p:
+                raise DecodeError("word-length", "block word longer than its return time")
+            bit0 = -prof.offsets[-i0]
+        first_bit = bit0 - sum(len(blocks[a]) for a in middle[:k - 1])
 
-    # bit coordinates of every materialized block leader
-    idx = onepos.index(anchor_letter)
-    bit_at = {anchor_letter: anchor_bit}
-    for a, b in zip(onepos[idx:], onepos[idx + 1:]):
-        bit_at[b] = bit_at[a] + decode_word(u.segment(a, b))
-    for b, a in zip(reversed(onepos[:idx + 1]), reversed(onepos[:idx])):
-        bit_at[a] = bit_at[b] - decode_word(u.segment(a, b))
-
-    if right_has:
-        right_edge = min(c for c in onepos if c >= max(u.end, 0) + per_r)
-        right_tail = _cycle_bits(u, [c for c in onepos
-                                     if right_edge <= c <= right_edge + per_r])
-    else:
-        if any(l.y != 2 for l in seg[max(onepos) + 1 - lo:]):
-            raise DecodeError("future-segment-letters",
-                              "an endless expanding phase uses y = 2 letters")
-        right_tail = (0,)
-        right_edge = None
-
-    if left_has:
-        left_edge = max(c for c in onepos if c <= min(u.start, 0) - per_l)
-        left_tail = _cycle_bits(u, [c for c in onepos
-                                    if left_edge - per_l <= c <= left_edge])
-    else:
-        if any(l.y != 4 for l in seg[:min(onepos) - lo]):
-            raise DecodeError("past-segment-letters",
-                              "an endless halving phase uses y = 4 letters")
-        left_tail = (0,)
-        left_edge = None
-
-    lo_bit = bit_at[left_edge] if left_edge is not None else bit_at[min(onepos)]
-    hi_bit = bit_at[right_edge] if right_edge is not None else bit_at[max(onepos)] + 1
-    window = [0] * (hi_bit - lo_bit)
-    for c, bit in bit_at.items():
-        if lo_bit <= bit < hi_bit:
-            window[bit - lo_bit] = 1
-    return BitSequence(tuple(window), lo_bit, left_tail, right_tail)
+    window = _joined(middle, blocks) + (() if right else (1,))
+    return BitSequence(window, first_bit, _joined(left, blocks) or (0,),
+                       _joined(right, blocks) or (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,10 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
 
     The singular fiber is fixed.  Heights are accumulated with compensated
     summation; crossing more than ``max_crossings`` roof levels raises
-    FlowResourceError.
+    FlowResourceError, and a time that is not finite raises ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
     base = p.base
     if f.is_singular and base.is_zero():
         return p
@@ -310,8 +312,8 @@ class UnitRoofExtension:
     def advance(self, p: UnitPoint, t: float) -> UnitPoint:
         """Time-t map of the unit-roof suspension."""
         total = p.phase + t
-        n = math.floor(total)
-        moved = flow(p.base_point, float(n), self.f, self.max_crossings)
+        n = total // 1.0  # not finite when t is not, which flow rejects
+        moved = flow(p.base_point, n, self.f, self.max_crossings)
         return UnitPoint(moved, total - n)
 
 

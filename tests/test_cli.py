@@ -185,3 +185,29 @@ def test_metric_budget_below_two_writes_nothing(capsys):
     code, out, err = run_cli(["metric", "--samples", "10", "--budget", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+def test_inadmissible_roof_writes_nothing(capsys):
+    # two properties pass before the unit-roof extension rejects the roof
+    code, out, err = run_cli(["metric", "--samples", "10", "--roof", "power:2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not admissible" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["metric", "--samples", "10", "--budget", "1"], "budget"),
+    (["metric", "--samples", "10", "--roof", "power:2"], "not admissible"),
+])
+def test_error_leaves_output_file_untouched(argv, message, tmp_path, capsys):
+    target = tmp_path / "keep.txt"
+    target.write_text("kept\n")
+    code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert target.read_text() == "kept\n"
+
+
+def test_flow_resource_error_exits_two(capsys):
+    code, out, err = run_cli(["metric", "--samples", "10", "--max-crossings", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "roof crossings" in err

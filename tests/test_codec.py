@@ -1,12 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from singflow import (ADJUSTED, ALPHABET, PAPER, AmbiguousContextError,
-                      BitSequence, CodecDomainError, DecodeError,
+                      BitSequence, CodeLetter, CodecDomainError, DecodeError,
                       FirstReturnStructureError, GapPair, Harmonic,
-                      Power, RegionDomainError, RoofFunction, accel_step,
+                      Power, RegionDomainError, RoofFunction, SymbolSequence,
+                      accel_step,
                       ceil_sqrt, decode_position, decode_sequence, decode_word,
                       encode_block, encode_sequence, fiber_sfts, gap_pair,
                       letter, parse_word, region_of, render_word,
@@ -333,14 +335,12 @@ def test_decode_sequence_no_ones_is_zero():
     u = encode_sequence(BitSequence.zero())
     assert decode_sequence(u) == BitSequence.zero()
     fiber_word = (letter(2, 0), letter(2, "x"))
-    from singflow import SymbolSequence
     v = SymbolSequence((), 0, fiber_word, fiber_word)
     assert decode_sequence(v) == BitSequence.zero()
 
 
 def test_decode_sequence_future_zero_tail():
     # bits: ...(1 0 0)* then 1 at 0 and zeros forever
-    from singflow import SymbolSequence
     x = BitSequence((1,), 0, (1, 0, 0), (0,))
     cyc = encode_block(3)
     tail_letters = (letter(2, "x"),)
@@ -351,7 +351,6 @@ def test_decode_sequence_future_zero_tail():
 
 
 def test_decode_sequence_rejects_bad_segments():
-    from singflow import SymbolSequence
     bad = SymbolSequence((letter(1, "x"),), 0, (letter(1, "x"),), (letter(4, "x"),))
     with pytest.raises(DecodeError):
         decode_sequence(bad)
@@ -373,6 +372,254 @@ def test_roundtrip_random_periodic_patterns():
             y = accel_step(y)
             v = shift(v, 1)
             assert decode_sequence(v) == y
+
+
+def test_decode_sequence_endless_halving_past():
+    # bits: 0* then a 1 at 5 and (1 0 0)* from there.  The origin has
+    # k+ = 5 = 2^2 + 1*1 + 0*2: the parity bits sit at letters 0 and 2, two
+    # halving steps before the leader at letter 3
+    x = BitSequence((1, 0, 0), 5, (0,), (1, 0, 0))
+    cyc = encode_block(3)
+    past = (letter(4, 1), letter(4, "x"), letter(4, 0))
+    u = SymbolSequence(past, 0, (letter(4, "x"), letter(4, 0)), cyc)
+    assert decode_sequence(u) == x
+    # the halving steps 3 and 1 move the 1 to 2 and then to 1
+    assert decode_sequence(shift(u, 1)) == BitSequence((1, 0, 0), 2, (0,), (1, 0, 0))
+    assert decode_sequence(shift(u, 2)) == BitSequence((1, 0, 0), 1, (0,), (1, 0, 0))
+    bad = SymbolSequence(past, 0, (letter(2, "x"), letter(4, 0)), cyc)
+    with pytest.raises(DecodeError):
+        decode_sequence(bad)
+
+
+# ---------------------------------------------------------------------------
+# the sequence codec against the block-by-block path it replaced: the oracle
+# scans a materialised segment for block leaders, anchors from whichever
+# side it finds, decodes the tail cycles separately and places bits one
+# leader at a time
+
+ONE_X = letter(1, "x")
+_PARITY_Z = (0, 1, "x")
+_Z_ALL = (0, 1, 2, 3, 4, "x")
+
+
+def _oracle_encode_sequence(x, boundary=ADJUSTED):
+    if x.is_zero():
+        return SymbolSequence((), 0, (ONE_X,), (ONE_X,))
+    if 1 not in x.left or 1 not in x.right:
+        raise CodecDomainError(
+            "block coding needs 1s in both tails (recurrent domain)")
+    per_l, per_r = len(x.left), len(x.right)
+    lo = min(x.start, 0) - 3 * per_l - 1
+    hi = max(x.end, 0) + 3 * per_r + 1
+    ones, b = [], lo - 1
+    while (b := x.ones_around(b)[1]) <= hi:
+        ones.append(b)
+
+    pos0 = max(p for p in ones if p <= 0)
+    pos1 = min(p for p in ones if p > pos0)
+    prof0 = return_profile(pos1 - pos0, boundary)
+    try:
+        q0 = prof0.offsets[:-1].index(-pos0)
+    except ValueError:
+        raise CodecDomainError(
+            "origin is not on the accelerated orbit of its block") from None
+
+    q_left = max(p for p in ones if p <= min(pos0, x.start - per_l))
+    p_right = min(p for p in ones if p >= max(pos1, x.end + per_r))
+
+    def block_words(points):
+        words = []
+        for a, b in zip(points, points[1:]):
+            words.append((a, encode_block(b - a, boundary)))
+        return words
+
+    left_cycle = block_words([p for p in ones if q_left - per_l <= p <= q_left])
+    right_cycle = block_words([p for p in ones if p_right <= p <= p_right + per_r])
+    middle = block_words([p for p in ones if q_left <= p <= p_right])
+
+    letters = []
+    origin_index = None
+    for start_bit, w in middle:
+        if start_bit == pos0:
+            origin_index = len(letters) + q0
+        letters.extend(w)
+    if origin_index is None:
+        raise AssertionError("origin block not materialized")
+
+    wl = tuple(l for _, w in left_cycle for l in w)
+    wr = tuple(l for _, w in right_cycle for l in w)
+    return SymbolSequence(tuple(letters), -origin_index, wl, wr)
+
+
+def _oracle_cycle_bits(u, leaders):
+    bits = []
+    for a, b in zip(leaders, leaders[1:]):
+        bits += [1] + [0] * (decode_word(u.segment(a, b)) - 1)
+    return tuple(bits)
+
+
+def _oracle_decode_sequence(u, boundary=ADJUSTED):
+    for l in u.window + u.left + u.right:
+        if not isinstance(l, CodeLetter):
+            raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
+
+    left_has = any(l.y == 1 for l in u.left)
+    right_has = any(l.y == 1 for l in u.right)
+    win_has = any(l.y == 1 for l in u.window)
+    if not (left_has or right_has or win_has):
+        return BitSequence.zero()
+    if not u.window and u.left == (ONE_X,) and u.right == (ONE_X,):
+        return BitSequence.zero()
+
+    per_l, per_r = len(u.left), len(u.right)
+    lo = min(u.start, 0) - 3 * per_l - 1
+    hi = max(u.end, 0) + 3 * per_r + 1
+    seg = u.segment(lo, hi + 1)
+    onepos = [lo + i for i, l in enumerate(seg) if l.y == 1]
+
+    i0 = max((c for c in onepos if c <= 0), default=None)
+    if i0 is not None:
+        j1 = next((c for c in onepos if c > i0), None)
+        if j1 is None:
+            q = -i0 + 1
+            anchor_letter, anchor_bit = i0, 0 if q == 1 else -(1 << (q - 2))
+        else:
+            gap0 = decode_word(u.segment(i0, j1))
+            prof0 = return_profile(gap0, boundary)
+            q = -i0
+            if q >= prof0.p:
+                raise DecodeError("word-length",
+                                  "block word longer than its return time")
+            anchor_letter, anchor_bit = i0, -prof0.offsets[q]
+    else:
+        i1 = min(onepos)
+        ctx_lo = min(lo, i1 - 2 * (i1 - 0) - 4)
+        ctx = u.segment(ctx_lo, i1 + 1)
+        kpair = decode_position(ctx, 0 - ctx_lo, no_ones_left=True, boundary=boundary)
+        anchor_letter, anchor_bit = i1, kpair.k_plus
+
+    idx = onepos.index(anchor_letter)
+    bit_at = {anchor_letter: anchor_bit}
+    for a, b in zip(onepos[idx:], onepos[idx + 1:]):
+        bit_at[b] = bit_at[a] + decode_word(u.segment(a, b))
+    for b, a in zip(reversed(onepos[:idx + 1]), reversed(onepos[:idx])):
+        bit_at[a] = bit_at[b] - decode_word(u.segment(a, b))
+
+    if right_has:
+        right_edge = min(c for c in onepos if c >= max(u.end, 0) + per_r)
+        right_tail = _oracle_cycle_bits(u, [c for c in onepos
+                                            if right_edge <= c <= right_edge + per_r])
+    else:
+        if any(l.y != 2 for l in seg[max(onepos) + 1 - lo:]):
+            raise DecodeError("future-segment-letters",
+                              "an endless expanding phase uses y = 2 letters")
+        right_tail = (0,)
+        right_edge = None
+
+    if left_has:
+        left_edge = max(c for c in onepos if c <= min(u.start, 0) - per_l)
+        left_tail = _oracle_cycle_bits(u, [c for c in onepos
+                                           if left_edge - per_l <= c <= left_edge])
+    else:
+        if any(l.y != 4 for l in seg[:min(onepos) - lo]):
+            raise DecodeError("past-segment-letters",
+                              "an endless halving phase uses y = 4 letters")
+        left_tail = (0,)
+        left_edge = None
+
+    lo_bit = bit_at[left_edge] if left_edge is not None else bit_at[min(onepos)]
+    hi_bit = bit_at[right_edge] if right_edge is not None else bit_at[max(onepos)] + 1
+    window = [0] * (hi_bit - lo_bit)
+    for c, bit in bit_at.items():
+        if lo_bit <= bit < hi_bit:
+            window[bit - lo_bit] = 1
+    return BitSequence(tuple(window), lo_bit, left_tail, right_tail)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the codec error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _blocks(gaps):
+    bits = []
+    for g in gaps:
+        bits += [1] + [0] * (g - 1)
+    return tuple(bits)
+
+
+def recurrent_cases(rng, boundary, n):
+    """Bit sequences with 1s in both tails, from random block gaps; half of
+    them have their origin on the accelerated orbit of the first window
+    block, the rest anywhere near the window."""
+    for _ in range(n):
+        left, middle, right = ([rng.randint(1, 12) for _ in range(rng.randint(low, 3))]
+                               for low in (1, 0, 1))
+        bits = _blocks(middle)
+        if middle and rng.random() < 0.5:
+            start = -rng.choice(return_profile(middle[0], boundary).offsets[:-1])
+        else:
+            start = rng.randint(-len(bits) - 3, 3)
+        yield BitSequence(bits, start, _blocks(left), _blocks(right))
+
+
+def endless_cases(rng, boundary, n):
+    """Letter sequences with at least one side free of block leaders: an
+    endless halving past of y = 4 letters before the first leader, and/or an
+    endless expanding future of y = 2 letters after the last one, around
+    block words; the origin anywhere near the window."""
+    gaps = [g for g in range(1, 13) if return_profile(g, boundary).word is not None]
+
+    def words(k):
+        return tuple(l for _ in range(k) for l in encode_block(rng.choice(gaps), boundary))
+
+    def free(y, low):
+        return tuple(letter(y, rng.choice(_PARITY_Z)) for _ in range(rng.randint(low, 3)))
+
+    for _ in range(n):
+        endless_left, endless_right = rng.choice([(True, False), (False, True), (True, True)])
+        window = ((free(4, 0) if endless_left else ()) + words(rng.randint(0, 3))
+                  + ((letter(1, rng.choice(_Z_ALL)),) + free(2, 0) if endless_right else ()))
+        left = free(4, 1) if endless_left else words(rng.randint(1, 2))
+        right = free(2, 1) if endless_right else words(rng.randint(1, 2))
+        yield SymbolSequence(window, rng.randint(-len(window) - 4, 4), left, right)
+
+
+def corrupted(rng, u, k):
+    """u with k letters of its window or tails replaced by random letters."""
+    parts = [list(u.window), list(u.left), list(u.right)]
+    for _ in range(k):
+        part = rng.choice([p for p in parts if p])
+        part[rng.randrange(len(part))] = rng.choice(ALPHABET)
+    return SymbolSequence(parts[0], u.start, parts[1], parts[2])
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_encode_sequence_matches_oracle(boundary):
+    rng = random.Random(801)
+    for x in recurrent_cases(rng, boundary, 80):
+        for s in range(-8, 9):
+            y = shift(x, s)
+            assert _outcome(encode_sequence, y, boundary) \
+                == _outcome(_oracle_encode_sequence, y, boundary), (y, boundary)
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_decode_sequence_matches_oracle(boundary):
+    rng = random.Random(802)
+    images = [u for u in (_outcome(_oracle_encode_sequence, x, boundary)
+                          for x in recurrent_cases(rng, boundary, 120))
+              if isinstance(u, SymbolSequence)]
+    cases = [shift(u, s) for u in images[:40] for s in range(-8, 9)]
+    cases += [corrupted(rng, u, rng.randint(1, 3)) for u in images for _ in range(4)]
+    endless = list(endless_cases(rng, boundary, 300))
+    cases += endless + [corrupted(rng, v, rng.randint(1, 2)) for v in endless[:100]]
+    for v in cases:
+        assert _outcome(decode_sequence, v, boundary) \
+            == _outcome(_oracle_decode_sequence, v, boundary), (v, boundary)
 
 
 # ---------------------------------------------------------------------------

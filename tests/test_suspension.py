@@ -94,6 +94,17 @@ def test_flow_resource_error():
         flow(p, 30.0, HARM, max_crossings=50)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_rejects_non_finite_time(t):
+    p = flow_point(HARM, BitSequence.from_ones([0, 3]), 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        flow(p, t, HARM)
+    with pytest.raises(ValueError, match="finite"):
+        flow(singular_point(), t, HARM)
+    with pytest.raises(ValueError, match="finite"):
+        unit_roof_extension(HARM).advance(UnitPoint(p, 0.5), t)
+
+
 def test_flow_into_zero_right_tail_accumulates():
     # beyond the last 1 the roofs shrink but their sum diverges
     x = BitSequence.from_ones([0], left=(1,))
