@@ -34,9 +34,10 @@ def parse_grid(spec: str) -> list:
     """Grid syntax: 'A..B' sweeps decades from A down to B, or a comma list."""
     spec = spec.strip()
     if ".." in spec:
-        a, _, b = spec.partition("..")
-        ea = math.log10(float(a))
-        eb = math.log10(float(b))
+        a, b = (float(t) for t in spec.split("..", 1))
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise ValueError("decade sweeps need finite positive endpoints")
+        ea, eb = math.log10(a), math.log10(b)
         if abs(ea - round(ea)) > 1e-9 or abs(eb - round(eb)) > 1e-9:
             raise ValueError("decade sweeps need powers of ten")
         ea, eb = int(round(ea)), int(round(eb))
@@ -78,6 +79,8 @@ def _random_bits(rng) -> BitSequence:
 def _run_metric(args: argparse.Namespace, out) -> int:
     if args.budget < 2:
         raise ValueError("chain budget must be at least 2")
+    if args.samples < 0:
+        raise ValueError("samples must be nonnegative")
     rng = np.random.default_rng(args.seed)
     f = parse_roof_spec(args.roof_spec)
     failures = 0

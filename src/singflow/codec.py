@@ -297,7 +297,8 @@ def _halving_kplus(letters, q: int, e: int) -> int:
 
 def decode_word(word) -> int:
     """Gap of the block whose code word this is; structural violations raise
-    DecodeError naming the broken constraint."""
+    DecodeError naming the broken constraint, and a well-formed word that is
+    no gap's code word raises it with ``not-in-image``."""
     letters = tuple(word)
     for l in letters:
         if not isinstance(l, CodeLetter):
@@ -338,7 +339,14 @@ def decode_word(word) -> int:
                                   f"slot {pos} must carry a parity bit, got {z!r}")
         elif z != "x":
             raise DecodeError("z-extraneous", f"slot {pos} must be x, got {z!r}")
-    return z1 + ceil_sqrt(8 * (1 << (r - 1)) * _halving_kplus(letters, r + 1, p - r - 2))
+    km, kp = 1 << (r - 1), _halving_kplus(letters, r + 1, p - r - 2)
+    gap = z1 + ceil_sqrt(8 * km * kp)
+    # the word is the gap's own exactly when R3 at k- = 2^(r-1), which forces
+    # R2 before it, lands on k+ = kp; the adjusted law decides this for both
+    # boundaries: the verbatim code is the adjusted one without powers of 2
+    if _region_step(km, gap - km, True) != (3, gap - km - kp):
+        raise DecodeError("not-in-image", f"the word is not the code word of gap {gap}")
+    return gap
 
 
 def decode_position(word_context, offset: int, *, no_ones_left: bool = False,

@@ -5,7 +5,7 @@ f(u) = g(k_u), which puts weight lam*(2-lam)*(1-lam)^(2k-1) on g(k) and
 weight lam on g0.  Abramov's quotient turns base entropy into flow entropy,
 and the closed-form symbolic-extension value adds w/(2l) for the weight w
 sitting on the singular fiber.  Word counts for the fiber subshifts are
-exact integers from a determinized transfer matrix.
+exact integers by unique parsing of equal-length generators.
 """
 
 from __future__ import annotations
@@ -201,74 +201,21 @@ def singular_limit_scan(g: GapProfile, lam_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 # Word counting for block-concatenation subshifts
 
-def _concat_dfa(words):
-    """Determinized automaton for the language of concatenations of the
-    given fixed words.  States are frozensets of suffix positions; paths from
-    the start state biject with distinct words."""
-    words = [tuple(w) for w in words]
-    if not words or any(len(w) == 0 for w in words):
-        raise ValueError("need nonempty words")
-    START = ("start",)
-    start_state = frozenset([START])
-
-    def step(state, letter):
-        out = set()
-        for st in state:
-            if st == START:
-                for w in words:
-                    if w[0] == letter:
-                        if len(w) == 1:
-                            out.add(START)
-                        else:
-                            out.add((w, 1))
-            else:
-                w, i = st
-                if w[i] == letter:
-                    if i + 1 == len(w):
-                        out.add(START)
-                    else:
-                        out.add((w, i + 1))
-        return frozenset(out)
-
-    letters = sorted({l for w in words for l in w}, key=repr)
-    states = [start_state]
-    index = {start_state: 0}
-    trans = []
-    k = 0
-    while k < len(states):
-        row = []
-        for letter in letters:
-            nxt = step(states[k], letter)
-            if not nxt:
-                row.append(None)
-                continue
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            row.append(index[nxt])
-        trans.append(row)
-        k += 1
-    accepting = [i for i, s in enumerate(states) if START in s]
-    return trans, accepting, len(letters)
-
-
 def word_count(words, n: int) -> int:
-    """Exact number of distinct length-n concatenations of the given words."""
+    """Exact number of distinct length-n concatenations of the given words,
+    which must share one length L.  Such words parse uniquely, so d distinct
+    words make d^(n/L) words of length n when L divides n, and none
+    otherwise."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    trans, accepting, _ = _concat_dfa(words)
-    m = len(trans)
-    counts = [1 if i == 0 else 0 for i in range(m)]
-    for _ in range(n):
-        new = [0] * m
-        for i, c in enumerate(counts):
-            if not c:
-                continue
-            for j in trans[i]:
-                if j is not None:
-                    new[j] += c
-        counts = new
-    return sum(counts[i] for i in accepting)
+    distinct = {tuple(w) for w in words}
+    lengths = {len(w) for w in distinct}
+    if not distinct or 0 in lengths:
+        raise ValueError("need nonempty words")
+    if len(lengths) > 1:
+        raise ValueError("words must share one length")
+    (L,) = lengths
+    return len(distinct) ** (n // L) if n % L == 0 else 0
 
 
 def sft_entropy_wordcount(allowed_two_letter_words, n: int) -> EntropyReport:

@@ -500,10 +500,6 @@ class RoofFunction:
     def from_profile(cls, g: GapProfile) -> "RoofFunction":
         return cls(profile=g)
 
-    @classmethod
-    def truncated(cls, g: GapProfile, a: float) -> "RoofFunction":
-        return cls(profile=Truncated(g, a))
-
     @property
     def is_constant(self) -> bool:
         return self.constant is not None

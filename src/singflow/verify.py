@@ -175,9 +175,14 @@ def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         for i, (gap, p) in enumerate(zip(wk.gaps.tolist(), wk.p.tolist())):
             if not encodable[i]:
                 anomalies.append(gap)
-            elif wk.z1_bad[i]:
+                continue
+            if wk.z1_bad[i]:
                 return False, f"gap {gap}: z1 out of range ({wk.z1[i]})"
-            elif cdc.decode_word(tuple(map(cdc.ALPHABET.__getitem__, words[i][:p]))) != gap:
+            try:
+                back = cdc.decode_word(tuple(map(cdc.ALPHABET.__getitem__, words[i][:p])))
+            except cdc.DecodeError:  # a word outside the image decodes to no gap
+                back = None
+            if back != gap:
                 return False, f"roundtrip failed at gap {gap}"
     if boundary == cdc.ADJUSTED:
         if anomalies:

@@ -211,3 +211,17 @@ def test_flow_resource_error_exits_two(capsys):
     code, out, err = run_cli(["metric", "--samples", "10", "--max-crossings", "0"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "roof crossings" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["entropy-scan", "--roof", "harmonic:1", "--grid", "inf..1e-3"], "finite"),
+    (["report", "--grid", "1e400..1e-3"], "finite"),
+    (["entropy-scan", "--roof", "harmonic:1", "--grid", "0..1e-3"], "positive"),
+    (["metric", "--samples", "-5"], "samples"),
+    (["codec", "decode", "--word", "1^4 2^x 2^x 3^x 4^x 4^1"], "not-in-image"),
+], ids=["infinite-sweep", "overflowing-sweep", "zero-sweep", "negative-samples",
+        "word-outside-image"])
+def test_bad_sizes_exit_two_and_write_nothing(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

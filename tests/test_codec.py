@@ -201,6 +201,30 @@ def test_decode_structural_errors():
     assert err.value.constraint == "z-extraneous"
 
 
+def test_decode_rejects_a_well_formed_word_outside_the_image():
+    # the formula gives gap 14, whose word is 1^0 2^x 2^x 3^x 4^0 4^x 4^1
+    with pytest.raises(DecodeError) as err:
+        decode_word(parse_word("1^4 2^x 2^x 3^x 4^x 4^1"))
+    assert err.value.constraint == "not-in-image"
+
+
+def test_decode_accepts_only_code_words_under_a_swapped_z1():
+    accepted = 0
+    for gap in range(3, 2001):
+        w = encode_block(gap)
+        for z1 in range(5):
+            if z1 == w[0].z:
+                continue
+            swapped = (letter(1, z1),) + w[1:]
+            try:
+                g = decode_word(swapped)
+            except DecodeError:
+                continue
+            assert encode_block(g) == swapped, (gap, z1, g)
+            accepted += 1
+    assert accepted > 0  # some swaps land on the word of another gap
+
+
 def test_roundtrip_and_injectivity_sweep():
     seen = {}
     for gap in range(1, 2001):

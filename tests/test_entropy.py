@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -227,9 +228,102 @@ def test_wordcount_examples():
     assert sft_entropy_wordcount([("a", "b")], 8).value == 0.0
     rep = sft_entropy_wordcount(fiber_sfts()[0], 7)
     assert rep.value == 0.0 and "empty-language" in rep.flags
-    # oracle agreement on a mixed-length check
+    # enumeration oracle
     words = [(0, 1), (1, 1)]
     assert word_count(words, 6) == len(brute_words(words, 6))
+
+
+def _oracle_concat_dfa(words):
+    """Determinized automaton for the language of concatenations of the
+    given fixed words.  States are frozensets of suffix positions; paths from
+    the start state biject with distinct words.  (The previous counting
+    path, for words of any lengths, kept as the oracle.)"""
+    words = [tuple(w) for w in words]
+    if not words or any(len(w) == 0 for w in words):
+        raise ValueError("need nonempty words")
+    START = ("start",)
+    start_state = frozenset([START])
+
+    def step(state, letter):
+        out = set()
+        for st in state:
+            if st == START:
+                for w in words:
+                    if w[0] == letter:
+                        if len(w) == 1:
+                            out.add(START)
+                        else:
+                            out.add((w, 1))
+            else:
+                w, i = st
+                if w[i] == letter:
+                    if i + 1 == len(w):
+                        out.add(START)
+                    else:
+                        out.add((w, i + 1))
+        return frozenset(out)
+
+    letters = sorted({l for w in words for l in w}, key=repr)
+    states = [start_state]
+    index = {start_state: 0}
+    trans = []
+    k = 0
+    while k < len(states):
+        row = []
+        for letter in letters:
+            nxt = step(states[k], letter)
+            if not nxt:
+                row.append(None)
+                continue
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append(index[nxt])
+        trans.append(row)
+        k += 1
+    accepting = [i for i, s in enumerate(states) if START in s]
+    return trans, accepting, len(letters)
+
+
+def _oracle_word_count(words, n: int) -> int:
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    trans, accepting, _ = _oracle_concat_dfa(words)
+    m = len(trans)
+    counts = [1 if i == 0 else 0 for i in range(m)]
+    for _ in range(n):
+        new = [0] * m
+        for i, c in enumerate(counts):
+            if not c:
+                continue
+            for j in trans[i]:
+                if j is not None:
+                    new[j] += c
+        counts = new
+    return sum(counts[i] for i in accepting)
+
+
+def test_word_count_matches_the_automaton_on_equal_length_words():
+    rng = random.Random(9)
+    cases = 0
+    for _ in range(3000):
+        alphabet = "abc"[:rng.randint(1, 3)]
+        length = rng.randint(1, 3)
+        # drawn with replacement, so repeated words occur
+        words = [tuple(rng.choice(alphabet) for _ in range(length))
+                 for _ in range(rng.randint(1, 6))]
+        for n in range(10):
+            assert word_count(words, n) == _oracle_word_count(words, n), (words, n)
+            cases += 1
+    assert cases == 30000
+
+
+def test_word_count_rejections():
+    for words, n in (([(0, 1)], -1), ([], 4), ([()], 0), ([(0, 1), ()], 2)):
+        with pytest.raises(ValueError):
+            word_count(words, n)
+    with pytest.raises(ValueError, match="words must share one length"):
+        word_count([(0,), (1, 1)], 4)
 
 
 def test_sex_entropy_formula():
