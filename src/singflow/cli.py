@@ -14,6 +14,7 @@ arguments: no timestamps, seeds recorded in headers, fixed column order.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -200,6 +201,7 @@ def _run_report(args: argparse.Namespace, out) -> int:
     return 0 if all(s["pass"] for s in suites.values()) else 1
 
 
+@functools.cache  # parse_args keeps no state in the parser: build it once
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="singflow",

@@ -74,6 +74,17 @@ def ceil_sqrt(n: int) -> int:
     return 0 if n == 0 else 1 + math.isqrt(n - 1)
 
 
+def ceil_sqrt_array(v):
+    """Exact ceil(sqrt(v)) for an int64 array with 0 <= v < 2^62: the float
+    root is within 2^-21 of the true one there, so one correction each way
+    suffices."""
+    v = np.asarray(v, dtype=np.int64)
+    s = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    s -= s * s > v
+    s += (s + 1) * (s + 1) <= v
+    return s + (s * s < v)
+
+
 # ---------------------------------------------------------------------------
 # Regions and the accelerated step
 
@@ -306,14 +317,11 @@ def decode_word(word) -> int:
     p = len(letters)
     if p == 0:
         raise DecodeError("empty-word", "no letters")
-    if p == 1:
-        if letters != (ONE_X,):
-            raise DecodeError("fixed-word-shape", "length-1 words must be 1^x")
-        return 1
-    if p == 2:
-        if letters != (ONE_X, letter(4, "x")):
-            raise DecodeError("fixed-word-shape", "length-2 words must be 1^x 4^x")
-        return 2
+    if p <= 2:
+        fixed = (ONE_X, letter(4, "x"))[:p]
+        if letters != fixed:
+            raise DecodeError("fixed-word-shape", f"length-{p} words must be {render_word(fixed)}")
+        return p
     ys = [l.y for l in letters]
     r = ys.count(2) + 1
     expected = [1] + [2] * (r - 1) + [3] + [4] * (p - 1 - r)
@@ -341,12 +349,63 @@ def decode_word(word) -> int:
             raise DecodeError("z-extraneous", f"slot {pos} must be x, got {z!r}")
     km, kp = 1 << (r - 1), _halving_kplus(letters, r + 1, p - r - 2)
     gap = z1 + ceil_sqrt(8 * km * kp)
-    # the word is the gap's own exactly when R3 at k- = 2^(r-1), which forces
-    # R2 before it, lands on k+ = kp; the adjusted law decides this for both
-    # boundaries: the verbatim code is the adjusted one without powers of 2
-    if _region_step(km, gap - km, True) != (3, gap - km - kp):
+    if not _in_image(gap, km, kp):
         raise DecodeError("not-in-image", f"the word is not the code word of gap {gap}")
     return gap
+
+
+def _in_image(gap, km, kp):
+    """Whether R3 at k- = km, which forces R2 before it, lands on k+ = kp in
+    the block of ``gap`` (ints or int64 arrays).  The adjusted law decides
+    it for both boundaries: the verbatim code is the adjusted one without 2^j."""
+    return (km < gap - km) & (gap - km <= 3 * km) & (gap * gap // (8 * km) == kp)
+
+
+# the constraints of decode_word in the order it checks them; _decode_rows
+# names a row's first violated one by its index here, 0 when the row decodes
+_DECODE_CONSTRAINTS = (None, "letter-alphabet", "empty-word", "fixed-word-shape",
+                       "y-pattern", "return-time-shape", "z1-range", "epsilon-bit",
+                       "z-extraneous", "not-in-image")
+
+# the widest walk across a gap below 2^30 (r <= 29, then 29 halvings): 8 k- k+ < 2^60
+_ROW_MAX = 59
+
+
+def _decode_rows(rows) -> tuple:
+    """``decode_word`` on an int64 matrix of words, one per row of ALPHABET
+    indices padded on the right with -1 (any other entry before the padding
+    is no letter).  Returns int64 arrays (gaps, err), err indexing
+    _DECODE_CONSTRAINTS by the first constraint decode_word raises, 0 if none."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] > _ROW_MAX:
+        raise ValueError(f"rows must be a matrix at most {_ROW_MAX} letters wide")
+    rows = np.pad(rows, ((0, 0), (0, max(0, 3 - rows.shape[1]))), constant_values=-1)
+    c, filled = np.arange(rows.shape[1]), rows != -1
+    p = np.where(filled.any(1), c.size - filled[:, ::-1].argmax(1), 0)[:, None]
+    word, block = c < p, p >= 3
+    y, z = rows // 6 + 1, rows % 6  # z = 5 is x
+    r = np.count_nonzero(word & (y == 2), axis=1, keepdims=True) + 1
+    first = 2 * r + 6 - p  # parity slots: from this 1-based position on, every other one
+    slot = (c + 1 >= first) & ((p - 1 - c) % 2 == 0)
+    bad = word & (c >= 1) & np.where(slot, z > 1, z != 5)
+    err = np.select([
+        (word & ((rows < 0) | (rows >= len(ALPHABET)))).any(1, keepdims=True),
+        p == 0,
+        ~block & (word[:, :2] & (rows[:, :2] != (5, 23))).any(1, keepdims=True),  # 1^x 4^x
+        block & ((word & (y != np.select([c == 0, c < r, c == r], [1, 2, 3], 4)))
+                 .any(1, keepdims=True) | (p - 1 - r < 1)),
+        block & (first < 3),
+        block & (z[:, :1] == 5),
+        block & np.take_along_axis(bad & slot, bad.argmax(1)[:, None], 1),
+        block & bad.any(1, keepdims=True),
+    ], range(1, 9))
+    decoded = block & (err == 0)
+    bits = np.where(word & slot, z & 1, 0) << np.clip((c + 1 - first) // 2, 0, c.size)
+    km = np.where(decoded, 1 << (r - 1), 1)
+    kp = np.where(decoded, (1 << np.clip(p - r - 2, 0, c.size)) + bits.sum(1, keepdims=True), 1)
+    gap = z[:, :1] + ceil_sqrt_array(8 * km * kp)
+    err[decoded & ~_in_image(gap, km, kp)] = _DECODE_CONSTRAINTS.index("not-in-image")
+    return np.where(err == 0, np.where(block, gap, p), 0).ravel(), err.ravel()
 
 
 def decode_position(word_context, offset: int, *, no_ones_left: bool = False,

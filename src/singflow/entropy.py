@@ -223,10 +223,10 @@ def sft_entropy_wordcount(allowed_two_letter_words, n: int) -> EntropyReport:
     length n in the subshift generated by the given 2-letter words."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    for w in allowed_two_letter_words:
-        if len(tuple(w)) != 2:
-            raise ValueError("generators must be 2-letter words")
-    count = word_count(allowed_two_letter_words, n)
+    words = tuple(map(tuple, allowed_two_letter_words))  # one pass over an iterator
+    if any(len(w) != 2 for w in words):
+        raise ValueError("generators must be 2-letter words")
+    count = word_count(words, n)
     if count == 0:
         return EntropyReport(0.0, "word_count", flags=("empty-language",))
     # exact integer count; log via lgamma-free route adequate for any size

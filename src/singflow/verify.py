@@ -14,20 +14,10 @@ import math
 import numpy as np
 
 from . import codec as cdc
+from .codec import ceil_sqrt_array
 from .sequences import GapPair
 
 _CHUNK = 1 << 15
-
-
-def ceil_sqrt_array(v):
-    """Exact ceil(sqrt(v)) for an int64 array with 0 <= v < 2^62: the float
-    root is within 2^-21 of the true one there, so one correction each way
-    suffices."""
-    v = np.asarray(v, dtype=np.int64)
-    s = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    s -= s * s > v
-    s += (s + 1) * (s + 1) <= v
-    return s + (s * s < v)
 
 
 def _ranges(lo: int, hi: int, width: int):
@@ -155,35 +145,29 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
 
 
 def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
-    """The scalar ``decode_word``, the independent inverse, maps the word of
-    each gap 1..gap_max, assembled from the lockstep walks, back to the gap;
+    """The row kernel ``codec._decode_rows``, the independent inverse whose
+    test oracle is the scalar ``decode_word``, maps the words of a chunk of
+    gaps, assembled from the lockstep walks, back to the gaps, for 1..gap_max;
     under the verbatim boundary exactly the powers of two >= 4 have no word.
-    decode(word(g)) == g for every g already makes the words distinct, so no
-    table of words is kept."""
+    decode(word(g)) == g for every g already makes the words distinct."""
     anomalies = []
     for wk in _Walks.chunks(1, gap_max, boundary):
         # z indexes (0, 1, 2, 3, 4, x): z1 first, then x except in every other
         # slot counted back from the end, which holds the parity of k+ at
-        # step (p - 3 + slot) / 2
-        c, pc, rc, coded = np.arange(wk.regions.shape[1]), wk.p[:, None], wk.r[:, None], \
-            wk.coded[:, None]
-        slots = coded & (c < pc) & ((pc - 1 - c) % 2 == 0) & (c >= 2 * rc + 5 - pc)
-        eps = np.take_along_axis(wk.kp, np.clip((pc - 3 + c) // 2, 0, c.size), 1) & 1
-        z = np.where(slots, eps, np.where(coded & (c == 0), wk.z1[:, None], 5))
-        words = ((wk.regions - 1) * 6 + z).tolist()
-        encodable = (wk.coded | (wk.gaps <= 2)).tolist()
-        for i, (gap, p) in enumerate(zip(wk.gaps.tolist(), wk.p.tolist())):
-            if not encodable[i]:
-                anomalies.append(gap)
-                continue
-            if wk.z1_bad[i]:
-                return False, f"gap {gap}: z1 out of range ({wk.z1[i]})"
-            try:
-                back = cdc.decode_word(tuple(map(cdc.ALPHABET.__getitem__, words[i][:p])))
-            except cdc.DecodeError:  # a word outside the image decodes to no gap
-                back = None
-            if back != gap:
-                return False, f"roundtrip failed at gap {gap}"
+        # step (p - 3 + slot) / 2; past the walk the index is -1
+        c, p, r = np.arange(wk.regions.shape[1]), wk.p[:, None], wk.r[:, None]
+        slots = wk.coded[:, None] & (c < p) & ((p - 1 - c) % 2 == 0) & (c >= 2 * r + 5 - p)
+        eps = np.take_along_axis(wk.kp, np.clip((p - 3 + c) // 2, 0, c.size), 1) & 1
+        z = np.where(slots, eps, np.where(c == 0, np.where(wk.coded, wk.z1, 5)[:, None], 5))
+        encodable = wk.coded | (wk.gaps <= 2)
+        anomalies += wk.gaps[~encodable].tolist()
+        # a walk wider than the kernel's rows is no code word's
+        back, _ = cdc._decode_rows(((wk.regions - 1) * 6 + z)[:, :cdc._ROW_MAX])
+        failed = encodable & (wk.z1_bad | (back != wk.gaps) | (wk.p > cdc._ROW_MAX))
+        if failed.any():
+            i = failed.argmax()
+            return False, (f"gap {wk.gaps[i]}: z1 out of range ({wk.z1[i]})" if wk.z1_bad[i]
+                           else f"roundtrip failed at gap {wk.gaps[i]}")
     if boundary == cdc.ADJUSTED:
         if anomalies:
             return False, f"unexpected unencodable gaps {anomalies[:8]}"

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from singflow import codec as cdc
 from singflow.cli import main, parse_grid
 
 
@@ -225,3 +231,68 @@ def test_bad_sizes_exit_two_and_write_nothing(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+FRESH = "import sys; from singflow.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """Each call in one process matches the same call made first in a fresh
+    interpreter: stdout, exit code and the --output file."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    target = tmp_path / "out.txt"
+    calls = [
+        ["verify", "--suite", "fr", "--gap-max", "300", "--kplus-max", "40"],
+        ["verify"],
+        ["codec", "encode"],
+        ["codec", "encode", "--gap", "4", "--boundary", "paper"],
+        ["codec", "decode", "--word", "1^0 3^x 4^x 4^x"],
+        ["verify", "--suite", "nope"],
+        ["codec", "encode", "--gap", "5", "--output", str(target)],
+        ["codec", "encode", "--boundary", "paper"],
+        ["--help"],
+    ]
+
+    def outcome(run):
+        target.unlink(missing_ok=True)
+        out, code = run()
+        return out, code, target.read_text() if target.exists() else None
+
+    def fresh_run(argv):
+        proc = subprocess.run([sys.executable, "-c", FRESH, *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        return proc.stdout, proc.returncode
+
+    def same_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return capsys.readouterr().out, code
+
+    fresh = [outcome(lambda: fresh_run(argv)) for argv in calls]
+    assert [code for _, code, _ in fresh] == [0, 0, 0, 2, 2, 2, 0, 0, 0]
+    assert fresh[6][2] == "1^1 2^x 3^x 4^x\n"
+    for argv, want in zip(calls, fresh):
+        assert outcome(lambda: same_process(argv)) == want, argv
+
+
+def test_verify_codec_fails_a_law_whose_walks_outgrow_the_decoder(monkeypatch, capsys):
+    """A law that halves one step at a time across the block of gap 1000
+    makes a walk hundreds of steps long, wider than any code word; the
+    suite reports it as a FAIL line, not as an error."""
+    law = cdc.region_steps
+
+    def slow_halving(km, kp, boundary=cdc.ADJUSTED):
+        region, step = law(km, kp, boundary)
+        at_1000 = (region == 4) & (np.asarray(km) + np.asarray(kp) == 1000)
+        return region, np.where(at_1000, np.minimum(step, 1), step)
+
+    monkeypatch.setattr(cdc, "region_steps", slow_halving)
+    assert cdc.return_profiles([1000])[1].shape[1] > cdc._ROW_MAX
+    code, out, err = run_cli(["verify", "--suite", "codec", "--gap-max", "1200"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1] == "codec    FAIL  roundtrip failed at gap 1000"

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from singflow import codec as cdc
 from singflow import (ADJUSTED, ALPHABET, PAPER, AmbiguousContextError,
                       BitSequence, CodeLetter, CodecDomainError, DecodeError,
                       FirstReturnStructureError, GapPair, Harmonic,
@@ -245,6 +246,121 @@ def test_roundtrip_paper_boundary_anomalies():
         assert decode_word(w) == gap
     assert anomalies == [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048][:len(anomalies)]
     assert anomalies == [g for g in range(4, 2001) if g & (g - 1) == 0]
+
+
+# ---------------------------------------------------------------------------
+# the row kernel, with the scalar decode_word as its oracle
+
+INDEX = {l: i for i, l in enumerate(ALPHABET)}
+
+
+def _word_of_row(row):
+    """The word a kernel row stands for: its entries before the trailing -1
+    padding, each an ALPHABET index or else no letter at all."""
+    row = list(row)
+    while row and row[-1] == -1:
+        row.pop()
+    return [ALPHABET[i] if 0 <= i < len(ALPHABET) else i for i in row]
+
+
+def _scalar_decode(word):
+    try:
+        return decode_word(word), None
+    except DecodeError as exc:
+        return None, exc.constraint
+
+
+def _assert_rows_decode_like_decode_word(words, width):
+    rows = np.full((len(words), width), -1, dtype=np.int64)
+    for row, word in zip(rows, words):
+        row[:len(word)] = word
+    gaps, err = cdc._decode_rows(rows)
+    got = [(g if e == 0 else None, cdc._DECODE_CONSTRAINTS[e])
+           for g, e in zip(gaps.tolist(), err.tolist())]
+    assert got == [_scalar_decode(_word_of_row(row)) for row in rows.tolist()]
+    return got
+
+
+def _edited(word, edits):
+    """A code word's letter indices with some entries overwritten."""
+    row = [INDEX[l] for l in word or ()]
+    for i, v in edits:
+        if i < len(row):
+            row[i] = v
+    return row
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_decode_rows_decodes_every_code_word(boundary):
+    profiles = [p for g in range(1, 20001) if (p := return_profile(g, boundary)).word]
+    words = [_edited(p.word, ()) for p in profiles]
+    assert _assert_rows_decode_like_decode_word(words, 40) == [(p.gap, None) for p in profiles]
+
+
+def _corrupted(word, rng):
+    """One corruption of a word of letter indices: one or two letters
+    replaced, two letters swapped, a letter deleted, padding inside the
+    row, or an index outside the alphabet."""
+    word = list(word)
+    kind = rng.randrange(6)
+    i = rng.randrange(len(word))
+    if kind == 0:
+        word[i] = rng.randrange(24)
+    elif kind == 1:
+        word[i], word[rng.randrange(len(word))] = rng.randrange(24), rng.randrange(24)
+    elif kind == 2:
+        j = rng.randrange(len(word))
+        word[i], word[j] = word[j], word[i]
+    elif kind == 3:
+        del word[i]
+    elif kind == 4:
+        word[i] = -1
+    else:
+        word[i] = rng.choice([-9, -2, 24, 25, 1000])
+    return word
+
+
+def test_decode_rows_names_the_first_constraint_of_corrupted_words():
+    rng = random.Random(20261018)
+    base = [_edited(p.word, ()) for b in (ADJUSTED, PAPER) for g in range(1, 5001)
+            if (p := return_profile(g, b)).word]
+    words = [_corrupted(rng.choice(base), rng) for _ in range(30000)]
+    got = _assert_rows_decode_like_decode_word(words, 30)
+    named = {c for _, c in got}
+    assert named == set(cdc._DECODE_CONSTRAINTS) - {"return-time-shape"}
+
+
+def test_decode_rows_rejects_rows_beyond_the_walk_width():
+    cdc._decode_rows(np.full((2, 59), -1))
+    cdc._decode_rows(np.zeros((0, 0), dtype=np.int64))
+    for rows in (np.full((2, 60), -1), np.full(5, -1), [[[5]]]):
+        with pytest.raises(ValueError):
+            cdc._decode_rows(rows)
+
+
+def test_decode_rows_matches_decode_word_on_arbitrary_rows():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    index = st.integers(-2, 25)
+    # a y pattern 1 2^(r-1) 3 4^h with z mostly drawn from (0, 1, x)
+    z = st.sampled_from([0, 1, 5, 5, 2, 4])
+    shaped = st.tuples(st.integers(1, 29), st.integers(0, 30)).map(
+        lambda t: [1] + [2] * (t[0] - 1) + [3] + [4] * t[1]).flatmap(
+        lambda ys: st.lists(z, min_size=len(ys), max_size=len(ys)).map(
+            lambda zs: [(y - 1) * 6 + zi for y, zi in zip(ys, zs)]))
+    coded = st.tuples(st.integers(1, (1 << 30) - 1), st.sampled_from([ADJUSTED, PAPER]),
+                      st.lists(st.tuples(st.integers(0, 58), index), max_size=2)).map(
+        lambda t: _edited(return_profile(t[0], t[1]).word, t[2]))
+    word = st.one_of(st.lists(index, max_size=59), shaped, coded).filter(
+        lambda w: len(w) <= 59)
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(st.lists(word, min_size=1, max_size=6), st.integers(0, 59))
+    def check(words, extra):
+        width = max(map(len, words))
+        _assert_rows_decode_like_decode_word(words, min(59, width + extra))
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,12 @@ def test_fiber_sft_entropy():
     assert sft_entropy_wordcount(second, 40).value == pytest.approx(LOG2 / 2, abs=1e-15)
 
 
+def test_sft_entropy_wordcount_reads_its_generators_once():
+    words = [(0, 1), (1, 1)]
+    for gens in (words, iter(words), (w for w in words)):
+        assert sft_entropy_wordcount(gens, 4).value == pytest.approx(LOG2 / 2, abs=1e-15)
+
+
 def test_wordcount_examples():
     full = [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sft_entropy_wordcount(full, 12).value == pytest.approx(LOG2, abs=1e-15)
