@@ -511,7 +511,7 @@ class RoofFunction:
     def value_at_gap(self, k) -> float:
         """Roof value on the set where the nearest 1 sits at distance k
         (k = 0 on the origin cylinder, inf at the all-zero sequence)."""
-        if self.is_constant:
+        if self.profile is None:
             return self.constant
         if k == INF:
             return 0.0
@@ -528,14 +528,19 @@ class RoofFunction:
         return f"<RoofFunction {self.spec()}>"
 
 
+def roof_between(f: RoofFunction, pos: int, a, b) -> float:
+    """f at coordinate pos of a sequence whose nearest 1s are a <= pos < b (None: none)."""
+    k = INF if a is None else pos - a
+    if b is not None and b - pos < k:
+        k = b - pos
+    return f.value_at_gap(INF if k > MAX_GAP else k)
+
+
 def roof_eval(f: RoofFunction, x: BitSequence, pos: int = 0) -> float:
-    """f(T^pos x); gap-profile roofs return ``value_at_gap`` of the distance
-    from coordinate pos to the nearest 1 (infinite beyond MAX_GAP)."""
+    """f(T^pos x), from the 1s of x nearest to coordinate pos."""
     if f.is_constant:
         return f.constant
-    a, b = x.ones_around(pos)
-    k = min(INF if a is None else pos - a, INF if b is None else b - pos)
-    return f.value_at_gap(INF if k > MAX_GAP else k)
+    return roof_between(f, pos, *x.ones_around(pos))
 
 
 # Mini-language for roofs:  const:c | harmonic:l | power:alpha | logharmonic

@@ -24,12 +24,16 @@ class SequenceFormatError(ValueError):
 
 
 def _primitive(word: tuple) -> tuple:
-    """Smallest word whose repetition equals ``word``."""
-    n = len(word)
-    for per in range(1, n + 1):
-        if n % per == 0 and word == word[:per] * (n // per):
-            return word[:per]
-    return word
+    """Smallest word whose repetition equals ``word``: word[:p] if p = n - pi[n-1]
+    divides n, pi the prefix function (Knuth-Morris-Pratt); else the word."""
+    k, pi = 0, [0]
+    for s in word[1:]:
+        while k and s != word[k]:
+            k = pi[k - 1]
+        k += s == word[k]
+        pi.append(k)
+    p = len(word) - k
+    return word[:p] if word and len(word) % p == 0 else word
 
 
 def _tile(word: tuple, i: int, j: int) -> tuple:
@@ -121,8 +125,15 @@ class SymbolSequence:
                 + _tile(self.right, max(a, e) - e, b - e))
 
     def shifted(self, n: int) -> "SymbolSequence":
-        """Sequence y with y_m = x_{m+n}."""
-        return type(self)(self.window, self.start - n, self.left, self.right)
+        """Sequence y with y_m = x_{m+n}; O(1) but for an empty window, which
+        ``_normalize_empty`` re-anchors: the normal form commutes with the shift."""
+        if not self.window:
+            return type(self)((), self.start - n, self.left, self.right)
+        y = object.__new__(type(self))
+        for name in (name for c in type(self).__mro__[:-1] for name in c.__slots__):
+            object.__setattr__(y, name, getattr(self, name))
+        object.__setattr__(y, "start", self.start - n)
+        return y
 
     def __eq__(self, other):
         if self is other:
@@ -168,8 +179,10 @@ class BitSequence(SymbolSequence):
         positions = set(ones)
         if not positions:
             return cls(left=left, right=right)
-        lo, hi = min(positions), max(positions)
-        window = tuple(1 if n in positions else 0 for n in range(lo, hi + 1))
+        lo = min(positions)
+        window = [0] * (max(positions) - lo + 1)
+        for n in positions:
+            window[n - lo] = 1
         return cls(window, lo, left, right)
 
     @classmethod

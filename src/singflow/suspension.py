@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roofs import RoofFunction, admissibility_check, ADMISSIBLE, roof_eval
+from .roofs import RoofFunction, admissibility_check, ADMISSIBLE, roof_between, roof_eval
 from .sequences import BitSequence, compare_radius, seq_distance
 
 HORIZONTAL = "horizontal"
@@ -87,32 +87,38 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
          max_crossings: int = MAX_CROSSINGS) -> FlowPoint:
     """Time-t image of p under the suspension flow, in canonical form.
 
-    The singular fiber is fixed.  Heights are accumulated with compensated
-    summation; crossing more than ``max_crossings`` roof levels raises
-    FlowResourceError, and a time that is not finite raises ValueError.
+    The singular fiber is fixed.  Heights are accumulated with compensated summation;
+    crossing more than ``max_crossings`` roof levels raises FlowResourceError, and a time
+    that is not finite raises ValueError.  Roofs come from the bracket a <= pos < b of the
+    nearest 1s (None: unbounded), kept until pos leaves it, so a crossing costs O(1).
     """
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t!r}")
     base = p.base
     if f.is_singular and base.is_zero():
         return p
+    a, b = (None, None) if f.is_constant else base.ones_around(0)
+    crossings = 0
+
+    def cross_to(pos: int) -> float:  # the roof at pos, one crossing further
+        nonlocal a, b, crossings
+        crossings += 1
+        if crossings > max_crossings:
+            raise FlowResourceError(f"more than {max_crossings} roof crossings")
+        if a is not None and pos < a or b is not None and pos >= b:
+            a, b = base.ones_around(pos)
+        return roof_between(f, pos, a, b)
+
     pos = 0
     h, c = _kadd(p.height, 0.0, t)
-    roof = roof_eval(f, base, pos)
-    crossings = 0
+    roof = roof_between(f, pos, a, b)
     while h >= roof:
         h, c = _kadd(h, c, -roof)
         pos += 1
-        crossings += 1
-        if crossings > max_crossings:
-            raise FlowResourceError(f"more than {max_crossings} roof crossings")
-        roof = roof_eval(f, base, pos)
+        roof = cross_to(pos)
     while h < 0.0:
         pos -= 1
-        crossings += 1
-        if crossings > max_crossings:
-            raise FlowResourceError(f"more than {max_crossings} roof crossings")
-        roof = roof_eval(f, base, pos)
+        roof = cross_to(pos)
         h, c = _kadd(h, c, roof)
     h = h + c
     if h < 0.0:  # compensation dust
@@ -208,17 +214,18 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     rows = [bytes(z.segment(-r - window, r + window + 3)) for z in orbits]
     index: dict = {}   # bits of a base on coordinates -r..r+1 -> base index
     origin: list = []  # (orbit, shift) of each base's first occurrence
-    zero: list = []    # whether the roof vanishes on base i
-
-    def key(o: int, j: int) -> bytes:
-        return rows[o][j + window:j + window + 2 * r + 2]
+    zero: list = []    # whether the roof vanishes on base i, from the 1s around it
+    key = [[row[c:c + 2 * r + 2] for c in range(2 * window + 2)] for row in rows]
 
     def base_index(o: int, j: int) -> int:
-        bits = key(o, j)
+        bits = key[o][j + window]
         if bits not in index:
             index[bits] = len(zero)
             origin.append((o, j))
-            zero.append(roof_eval(f, orbits[o], j) == 0.0)
+            row, c = rows[o], j + window + r   # column c holds coordinate j
+            lo, hi = row.rfind(1, 0, c + 1), row.find(1, c + 1)
+            roof = roof_between(f, c, lo, hi) if min(lo, hi) >= 0 else roof_eval(f, orbits[o], j)
+            zero.append(roof == 0.0)
         return index[bits]
 
     # vertices (base index, normalized height) in first-insertion order
@@ -231,50 +238,45 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
                 verts.setdefault((bi, u))
 
     nb = len(zero)
-    succ = np.zeros((nb, nb), dtype=bool)   # image of base i is base j
-    for i, (o, j) in enumerate(origin):
-        if key(o, j + 1) in index:
-            succ[i, index[key(o, j + 1)]] = True
-    # d[i, j] = (d(base_i, base_j), d(image_i, image_j)) from the first
-    # mismatch in |m| order; distinct bases, and so their images, differ on
-    # -r..r.  Columns are compared a chunk at a time, outward from 0, so the
-    # temporaries stay nb x nb x 2 x _CHUNK wherever the windows lie.
+    image = np.array([index.get(key[o][j + window + 1], -1) for o, j in origin])
+    succ = image[:, None] == np.arange(nb)   # image of base i is base j
+    # d[s, i, j] = d(T^s base_i, T^s base_j), s = 0, 1, from the first mismatch in |m|
+    # order (distinct bases and their images differ on -r..r), a chunk of columns at a
+    # time outward from 0, so the temporaries stay 2 x nb x nb x _CHUNK.
     row_bits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(2, -1)
     orb, shift = (np.array(c) for c in zip(*origin))
-    zero_col = (shift + window + r)[:, None, None] + [[0], [1]]
-    d = np.zeros((nb, nb, 2))
-    todo = ~np.eye(nb, dtype=bool)[..., None].repeat(2, -1)
+    zero_col = (shift + window + r + np.arange(2)[:, None])[..., None]
+    d = np.zeros((2, nb, nb))
     for k0 in range(0, 2 * r + 1, _CHUNK):
-        if not todo.any():
-            break
         k = np.arange(k0, min(k0 + _CHUNK, 2 * r + 1))
         m = (k + 1) >> 1   # coordinates 0, 1, -1, ..., r, -r
-        bits = row_bits[orb[:, None, None], zero_col + np.where(k & 1, m, -m)]
-        diff = bits[:, None] != bits[None]
-        hit = todo & diff.any(-1)
-        d[hit] = np.ldexp(1.0, -m[diff.argmax(-1)[hit]])
-        todo &= ~hit
+        bits = row_bits[orb[:, None], zero_col + np.where(k & 1, m, -m)]
+        diff = bits[:, :, None] != bits[:, None]
+        # 2^-m of a chunk's first mismatch exceeds that of any later chunk
+        d = np.maximum(d, np.where(diff.any(-1), np.ldexp(1.0, -m[diff.argmax(-1)]), 0.0))
+        if np.count_nonzero(d) == 2 * nb * (nb - 1):
+            break
 
     vb, vu = (np.array(c) for c in zip(*verts))
     pair = vb[:, None] * nb + vb
-    ui, uj = vu[:, None], vu[None, :]
-    gap = np.abs(ui - uj)
+    ui, uj = vu[:, None], vu
+    gap = np.abs(ui - uj)   # zero on the diagonal, which no edge undercuts
+    up = 1.0 - ui + uj      # from fiber i up through the roof to fiber j
     # vertical: same fiber, or flowing up through the roof to the next one
     weight = np.where(vb[:, None] == vb, gap,
-                      np.where(succ.take(pair), 1.0 - ui + uj,
-                               np.where(succ.T.take(pair), 1.0 - uj + ui, math.inf)))
+                      np.where(succ.take(pair), up,
+                               np.where(succ.T.take(pair), up.T, math.inf)))
     u = 0.5 * (ui + uj)
-    horizontal = (1.0 - u) * d[..., 0].take(pair) + u * d[..., 1].take(pair)
+    horizontal = (1.0 - u) * d[0].take(pair) + u * d[1].take(pair)
     weight = np.where((gap <= HEIGHT_TOL) & (horizontal < weight), horizontal, weight)
     # each pair is weighed with the lower vertex index first
     weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
-    np.fill_diagonal(weight, 0.0)
 
     # shortest path from a (index 0) using at most chain_budget-1 edges
     dist = np.full(len(vb), math.inf)
     dist[0] = 0.0
     for _ in range(chain_budget - 1):
-        new = np.minimum(dist, (dist[:, None] + weight).min(0))
+        new = (dist[:, None] + weight).min(0)  # the zero diagonal keeps dist
         if not (new < dist).any():  # a fixed point stays fixed
             break
         dist = new

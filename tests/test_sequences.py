@@ -98,6 +98,51 @@ def test_gap_pair_examples():
     assert (k.k_minus, k.k_plus) == (1, 10)
 
 
+def _fields_and_caches(x):
+    names = ("window", "start", "left", "right")
+    if isinstance(x, BitSequence):
+        names += ("_wbytes", "_left2", "_right2")
+    return {name: getattr(x, name) for name in names}
+
+
+def test_shifted_is_the_constructor_at_the_moved_start():
+    rng = np.random.default_rng(53)
+    cases = [random_sequence(rng) for _ in range(300)]
+    # empty windows, which the constructor re-anchors
+    cases += [BitSequence((), int(rng.integers(-8, 8)), x.left, x.right) for x in cases[:100]]
+    cases += [BitSequence.zero(), BitSequence.periodic((1, 0, 0)),
+              BitSequence.from_ones([0, 10 ** 4]), BitSequence.from_ones([3], left=(1,))]
+    letters = ("a", "b", "cd")
+    for _ in range(200):  # sequences over another alphabet, windows empty or not
+        word = lambda lo, hi: tuple(letters[int(i)] for i in
+                                    rng.integers(0, 3, size=int(rng.integers(lo, hi))))
+        cases.append(SymbolSequence(word(0, 8), int(rng.integers(-8, 8)), word(1, 4), word(1, 4)))
+    assert any(not x.window for x in cases) and any(x.window for x in cases)
+    for x in cases:
+        for n in (0, 1, -1, 2, 7, -13, 10 ** 6, -(2 ** 70)):
+            y, z = x.shifted(n), type(x)(x.window, x.start - n, x.left, x.right)
+            assert type(y) is type(z)
+            assert _fields_and_caches(y) == _fields_and_caches(z), (x, n)
+            assert y == z and hash(y) == hash(z)
+            assert all(y.at(m) == x.at(m + n) for m in range(-5, 6))
+
+
+def test_from_ones_places_ones_at_exactly_the_given_coordinates():
+    rng = np.random.default_rng(59)
+    tails = [(0,), (1,), (1, 0), (0, 1, 1)]
+    for _ in range(500):
+        ones = [int(v) for v in rng.integers(-30, 30, size=int(rng.integers(0, 7)))]
+        left, right = (tails[int(i)] for i in rng.integers(0, len(tails), size=2))
+        x = BitSequence.from_ones(iter(ones), left, right)
+        if not ones:
+            assert x == BitSequence((), 0, left, right)
+            continue
+        lo, hi = min(ones), max(ones)
+        window = tuple(1 if n in ones else 0 for n in range(lo, hi + 1))
+        assert x == BitSequence(window, lo, left, right)
+        assert x.segment(lo, hi + 1) == window
+
+
 def test_gap_pair_shift_identity_small_gaps_exhaustive():
     for g in range(2, 120):
         x = BitSequence.from_ones([0, g])
@@ -308,10 +353,48 @@ def test_literal_malformed_start_is_typed(text):
         parse_sequence_literal(text)
 
 
+def _primitive_by_divisors(word):
+    """Oracle for _primitive: the divisor-by-divisor search it replaced,
+    kept as it was."""
+    n = len(word)
+    for per in range(1, n + 1):
+        if n % per == 0 and word == word[:per] * (n // per):
+            return word[:per]
+    return word
+
+
+def test_primitive_matches_the_divisor_search_exhaustively():
+    for n in range(13):
+        for code in range(2 ** n):
+            word = tuple((code >> i) & 1 for i in range(n))
+            assert _primitive(word) == _primitive_by_divisors(word), word
+    for word in ((0, 1) * 2520, (1,) + (0,) * 5039, (0, 1, 1) * 1680 + (0,),
+                 ("ab", "c") * 3, ("ab", "c", "ab")):
+        assert _primitive(word) == _primitive_by_divisors(word)
+
+
+def test_primitive_matches_the_divisor_search_on_words_and_powers():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    words = st.binary(max_size=60).map(lambda b: tuple(v % 3 for v in b))
+    powers = st.tuples(st.binary(min_size=1, max_size=9).map(lambda b: tuple(v & 1 for v in b)),
+                       st.integers(1, 40)).map(lambda t: t[0] * t[1])
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.one_of(words, powers))
+    def check(word):
+        root = _primitive(word)
+        assert root == _primitive_by_divisors(word)
+        assert not word or root * (len(word) // len(root)) == word
+
+    check()
+
+
 def _canonical_by_rotation(window, start, left, right):
     """Canonical fields by absorbing one window symbol at a time, rotating
     the tail word after each one."""
-    window, left, right = tuple(window), _primitive(tuple(left)), _primitive(tuple(right))
+    window = tuple(window)
+    left, right = _primitive_by_divisors(tuple(left)), _primitive_by_divisors(tuple(right))
     while window and window[0] == left[0]:
         window = window[1:]
         start += 1

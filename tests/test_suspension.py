@@ -6,7 +6,7 @@ import pytest
 
 from singflow import (HORIZONTAL, VERTICAL, AdmissibleChain, BitSequence,
                       CanonicalHeightError, FlowPoint, FlowResourceError,
-                      Harmonic, PairKindError, RoofFunction, UnitPoint,
+                      Geometric, Harmonic, PairKindError, RoofFunction, UnitPoint,
                       bw_distance_upper, flow, flow_point, flowpoints_close,
                       norm_height, pair_length, parse_roof_spec,
                       parse_sequence_literal, roof_eval, seq_distance, shift,
@@ -111,6 +111,116 @@ def test_flow_into_zero_right_tail_accumulates():
     p = flow_point(HARM, x, 0.0)
     q = flow(p, 3.0, HARM)
     assert 0.0 <= q.height < roof_eval(HARM, q.base)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for flow: the loop as it was when every crossing called roof_eval,
+# kept as it was, with the final shift written out as the constructor.
+
+def _kadd(s, c, x):
+    # Kahan compensated addition
+    y = x - c
+    t = s + y
+    return t, (t - s) - y
+
+
+def oracle_flow(p, t, f, max_crossings=10 ** 6):
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
+    base = p.base
+    if f.is_singular and base.is_zero():
+        return p
+    pos = 0
+    h, c = _kadd(p.height, 0.0, t)
+    roof = roof_eval(f, base, pos)
+    crossings = 0
+    while h >= roof:
+        h, c = _kadd(h, c, -roof)
+        pos += 1
+        crossings += 1
+        if crossings > max_crossings:
+            raise FlowResourceError(f"more than {max_crossings} roof crossings")
+        roof = roof_eval(f, base, pos)
+    while h < 0.0:
+        pos -= 1
+        crossings += 1
+        if crossings > max_crossings:
+            raise FlowResourceError(f"more than {max_crossings} roof crossings")
+        roof = roof_eval(f, base, pos)
+        h, c = _kadd(h, c, roof)
+    h = h + c
+    if h < 0.0:  # compensation dust
+        h = 0.0
+    if h >= roof:
+        pos += 1
+        h = 0.0
+    return FlowPoint(BitSequence(base.window, base.start - pos, base.left, base.right)
+                     if pos else base, h)
+
+
+# every roof family, and a geometric roof whose values underflow to 0.0
+# once the nearest 1 is 249 or more coordinates away
+ORACLE_ROOFS = [parse_roof_spec(s) for s in
+                ("const:1", "const:0.3", "harmonic:1", "power:0.5", "logharmonic",
+                 "trunc:0.5:harmonic:1", "trunc:0.2:power:0.7")]
+ORACLE_ROOFS.append(RoofFunction.from_profile(Geometric(0.05)))
+
+
+def assert_flow_like_oracle(p, t, f, max_crossings=10 ** 6):
+    want = oracle_flow(p, t, f, max_crossings)
+    got = flow(p, t, f, max_crossings)
+    assert got.base == want.base and float.hex(got.height) == float.hex(want.height), \
+        (p, t, f.spec(), got, want)
+
+
+def test_flow_matches_the_oracle_on_seeded_points():
+    rng = np.random.default_rng(61)
+    for f in ORACLE_ROOFS:
+        for _ in range(150):
+            p = random_point(rng, f)
+            for t in (float(rng.uniform(0.0, 6.0)), -float(rng.uniform(0.0, 6.0)),
+                      float(rng.uniform(-0.5, 0.5)), 0.0):
+                assert_flow_like_oracle(p, t, f)
+
+
+def test_flow_matches_the_oracle_along_long_zero_runs():
+    rng = np.random.default_rng(67)
+    for length in (1, 2, 3, 64, 1500, 2 ** 13):
+        x = BitSequence.from_ones([0, length])
+        for f in ORACLE_ROOFS:
+            roofs = [roof_eval(f, x, j) for j in range(length)]
+            m = int(rng.integers(0, length))
+            end, before = x.shifted(m), math.fsum(roofs[:m])
+            # times that keep both flows inside the run
+            for frac in (float(rng.uniform(0.1, 0.9)), 0.999):
+                h0 = float(rng.uniform(0.0, roofs[0]))
+                he = float(rng.uniform(0.0, roofs[m])) if roofs[m] else 0.0
+                assert_flow_like_oracle(flow_point(f, x, h0),
+                                        frac * (math.fsum(roofs) - h0), f)
+                assert_flow_like_oracle(flow_point(f, end, he), -frac * (before + he), f)
+
+
+def test_flow_runs_out_of_crossings_exactly_where_the_oracle_does():
+    x = BitSequence.from_ones([0, 3000])
+    rng = np.random.default_rng(71)
+    for f in ORACLE_ROOFS:
+        total = math.fsum(roof_eval(f, x, j) for j in range(3000))
+        for p, t in ((flow_point(f, x, 0.0), 0.6 * total),
+                     (flow_point(f, x.shifted(2000), 0.0), -0.6 * total),
+                     (random_point(rng, f), float(rng.uniform(-6.0, 6.0)))):
+            # the fewest crossings the oracle completes with
+            lo, hi = 0, 10 ** 4
+            while lo < hi:
+                mid = (lo + hi) // 2
+                try:
+                    oracle_flow(p, t, f, mid)
+                    hi = mid
+                except FlowResourceError:
+                    lo = mid + 1
+            assert_flow_like_oracle(p, t, f, lo)
+            if lo:
+                with pytest.raises(FlowResourceError):
+                    flow(p, t, f, lo - 1)
 
 
 def test_canonical_height_validation():
@@ -355,6 +465,47 @@ def test_bw_distance_matches_scalar_reference_exactly():
                     (a, b, f.spec(), budget, window)
                 checked += 1
     assert checked >= 2000
+
+
+def test_bw_distance_zero_flags_match_the_reference_on_every_roof():
+    """Bases whose roof vanishes at a finite gap (the geometric roof
+    underflows) and bases with no 1 on one side of the orbit's bit row,
+    against the reference, which takes every zero flag from roof_eval."""
+    rng = np.random.default_rng(73)
+    deep = BitSequence.from_ones([0, 600])
+    assert [roof_eval(ORACLE_ROOFS[-1], deep, j) == 0.0 for j in (248, 249)] == [False, True]
+    # the nearer 1 at distance 248 or 249, on either side
+    bases = [deep, deep.shifted(300), deep.shifted(249), deep.shifted(248), deep.shifted(351),
+             deep.shifted(352), deep.shifted(-3),
+             BitSequence.from_ones([0]), BitSequence.from_ones([2], left=(1, 0)),
+             BitSequence.from_ones([-2], right=(0, 0, 1)), BitSequence.zero(),
+             BitSequence((1,), 0, (0,), (1,) + (0,) * 40),
+             BitSequence.periodic((1, 0, 0, 1))]
+    checked = 0
+    for f in ORACLE_ROOFS:
+        for x in bases:
+            for y in (bases[int(rng.integers(0, len(bases)))], x.shifted(int(rng.integers(-3, 4))),
+                      random_point(rng, f).base):
+                # heights below half the roof, which may be subnormal
+                a = flow_point(f, x, 0.5 * float(rng.uniform()) * roof_eval(f, x))
+                b = flow_point(f, y, 0.5 * float(rng.uniform()) * roof_eval(f, y))
+                budget, window = 2 + checked % 5, 1 + checked % 3
+                got = bw_distance_upper(a, b, f, budget, window)
+                want = reference_bw_distance_upper(a, b, f, budget, window)
+                assert float.hex(got) == float.hex(want), (a, b, f.spec(), budget, window)
+                checked += 1
+    assert checked == 3 * len(bases) * len(ORACLE_ROOFS)
+    # a base that agrees with a boundary base near 0 but for one more 1: a wrong
+    # flag on the boundary base drops vertices that the shortest chain runs through
+    f = ORACLE_ROOFS[-1]
+    for s in (249, 251, 349, 352):
+        x, w = deep.shifted(s), BitSequence.from_ones([-s, -2, 600 - s])
+        for (p, hp), (q, hq) in (((x, 0.0), (w, 0.25)), ((w, 0.25), (x, 0.4)),
+                                 ((x, 0.4), (w, 0.1))):
+            a = flow_point(f, p, hp * roof_eval(f, p))
+            b = flow_point(f, q, hq * roof_eval(f, q))
+            got, want = bw_distance_upper(a, b, f, 6, 3), reference_bw_distance_upper(a, b, f, 6, 3)
+            assert float.hex(got) == float.hex(want), (s, hp, hq)
 
 
 def test_bw_distance_far_windows_match_reference_in_bounded_memory():
