@@ -24,8 +24,7 @@ class SequenceFormatError(ValueError):
 
 
 def _primitive(word: tuple) -> tuple:
-    """Smallest word whose repetition equals ``word``: word[:p] if p = n - pi[n-1]
-    divides n, pi the prefix function (Knuth-Morris-Pratt); else the word."""
+    """Smallest word whose repetition equals ``word``, from its prefix function (KMP)."""
     k, pi = 0, [0]
     for s in word[1:]:
         while k and s != word[k]:

@@ -120,9 +120,7 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
         pos -= 1
         roof = cross_to(pos)
         h, c = _kadd(h, c, roof)
-    h = h + c
-    if h < 0.0:  # compensation dust
-        h = 0.0
+    h = max(h + c, 0.0)  # no compensation dust below 0
     if h >= roof:
         pos += 1
         h = 0.0
@@ -247,14 +245,17 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     orb, shift = (np.array(c) for c in zip(*origin))
     zero_col = (shift + window + r + np.arange(2)[:, None])[..., None]
     d = np.zeros((2, nb, nb))
+    found = np.eye(nb, dtype=bool)   # pairs whose first mismatch is seen (2^-m may underflow)
     for k0 in range(0, 2 * r + 1, _CHUNK):
         k = np.arange(k0, min(k0 + _CHUNK, 2 * r + 1))
         m = (k + 1) >> 1   # coordinates 0, 1, -1, ..., r, -r
         bits = row_bits[orb[:, None], zero_col + np.where(k & 1, m, -m)]
         diff = bits[:, :, None] != bits[:, None]
+        hit = diff.any(-1)
         # 2^-m of a chunk's first mismatch exceeds that of any later chunk
-        d = np.maximum(d, np.where(diff.any(-1), np.ldexp(1.0, -m[diff.argmax(-1)]), 0.0))
-        if np.count_nonzero(d) == 2 * nb * (nb - 1):
+        d = np.maximum(d, np.where(hit, np.ldexp(1.0, -m[diff.argmax(-1)]), 0.0))
+        found = found | hit
+        if found.all():
             break
 
     vb, vu = (np.array(c) for c in zip(*verts))
