@@ -84,59 +84,46 @@ def _run_metric(args: argparse.Namespace, out) -> int:
         raise ValueError("samples must be nonnegative")
     rng = np.random.default_rng(args.seed)
     f = parse_roof_spec(args.roof_spec)
-    failures = 0
+    n, m = args.max_crossings, args.budget
+    # built on first use, so the first two properties' errors come before a bad roof's
+    extension = functools.cache(lambda: unit_roof_extension(f, n))
     out.write(f"# roof={args.roof_spec} samples={args.samples} seed={args.seed}\n")
 
-    bad = 0
-    for _ in range(args.samples):
-        x = _random_bits(rng)
-        p = flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
-        a = float(rng.uniform(-3.0, 3.0))
-        b = float(rng.uniform(-3.0, 3.0))
-        lhs = flow(flow(p, a, f, args.max_crossings), b, f, args.max_crossings)
-        rhs = flow(p, a + b, f, args.max_crossings)
-        if not flowpoints_close(lhs, rhs, f, 1e-9):
-            bad += 1
-    failures += bad > 0
-    out.write(f"flow-additivity      {'PASS' if bad == 0 else 'FAIL'}  "
-              f"{args.samples} triples, {bad} mismatches\n")
+    def point(x):
+        return flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
 
-    bad = 0
-    m = args.budget
-    for _ in range(max(args.samples // 10, 10)):
-        x = _random_bits(rng)
-        z = _random_bits(rng)
-        pa = flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
-        pb = flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
-        pc = flow_point(f, z, rng.uniform(0.0, roof_eval(f, z)))
+    def additive():
+        p = point(_random_bits(rng))
+        a, b = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))
+        return flowpoints_close(flow(flow(p, a, f, n), b, f, n), flow(p, a + b, f, n), f, 1e-9)
+
+    def chain_metric():
+        x, z = _random_bits(rng), _random_bits(rng)
+        pa, pb, pc = point(x), point(x), point(z)
         dab = bw_distance_upper(pa, pb, f, m)
         dba = bw_distance_upper(pb, pa, f, m)
         dac2 = bw_distance_upper(pa, pc, f, 2 * m)
         dbc = bw_distance_upper(pb, pc, f, m)
-        ok = (abs(dab - dba) <= 1e-12
-              and bw_distance_upper(pa, pa, f, m) == 0.0
-              and bw_distance_upper(pa, pc, f, m + 2) <= bw_distance_upper(pa, pc, f, m) + 1e-12
-              and dac2 <= dab + dbc + 1e-12)
-        if not ok:
-            bad += 1
-    failures += bad > 0
-    out.write(f"chain-metric         {'PASS' if bad == 0 else 'FAIL'}  "
-              f"symmetry/diagonal/budget/triangle, {bad} mismatches\n")
+        return (abs(dab - dba) <= 1e-12
+                and bw_distance_upper(pa, pa, f, m) == 0.0
+                and bw_distance_upper(pa, pc, f, m + 2) <= bw_distance_upper(pa, pc, f, m) + 1e-12
+                and dac2 <= dab + dbc + 1e-12)
 
-    bad = 0
-    pi = unit_roof_extension(f, args.max_crossings)
-    for _ in range(max(args.samples // 10, 10)):
-        x = _random_bits(rng)
-        p = UnitPoint(flow_point(f, x, rng.uniform(0.0, roof_eval(f, x))),
-                      float(rng.uniform(0.0, 1.0)))
+    def equivariant():
+        pi = extension()
+        p = UnitPoint(point(_random_bits(rng)), float(rng.uniform(0.0, 1.0)))
         t = float(rng.uniform(-2.0, 2.0))
-        lhs = pi.project(pi.advance(p, t))
-        rhs = flow(pi.project(p), t, f, args.max_crossings)
-        if not flowpoints_close(lhs, rhs, f, 1e-9):
-            bad += 1
-    failures += bad > 0
-    out.write(f"unit-roof-extension  {'PASS' if bad == 0 else 'FAIL'}  "
-              f"equivariance, {bad} mismatches\n")
+        return flowpoints_close(pi.project(pi.advance(p, t)), flow(pi.project(p), t, f, n), f, 1e-9)
+
+    few = max(args.samples // 10, 10)
+    failures = 0
+    for name, trials, check, detail in (
+            ("flow-additivity", args.samples, additive, f"{args.samples} triples"),
+            ("chain-metric", few, chain_metric, "symmetry/diagonal/budget/triangle"),
+            ("unit-roof-extension", few, equivariant, "equivariance")):
+        bad = sum(not check() for _ in range(trials))
+        failures += bad > 0
+        out.write(f"{name:21s}{'PASS' if bad == 0 else 'FAIL'}  {detail}, {bad} mismatches\n")
     return 1 if failures else 0
 
 

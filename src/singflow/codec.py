@@ -103,21 +103,23 @@ def _region_step(km, kp, adjusted: bool) -> tuple:
     return 3, kp - (km + kp) ** 2 // (8 * km)
 
 
-def region_of(k: GapPair, boundary: str = ADJUSTED) -> int:
-    """Region index 1..4 of a gap pair (see ``_region_step``)."""
+def _region_step_at(k: GapPair, boundary: str) -> tuple:
+    """``_region_step`` at a gap pair, which must not be the singular one."""
     adjusted = _check_boundary(boundary)
     if k.is_singular():
         raise RegionDomainError("the accelerated shift is undefined at the zero sequence")
-    return _region_step(k.k_minus, k.k_plus, adjusted)[0]
+    return _region_step(k.k_minus, k.k_plus, adjusted)
+
+
+def region_of(k: GapPair, boundary: str = ADJUSTED) -> int:
+    """Region index 1..4 of a gap pair (see ``_region_step``)."""
+    return _region_step_at(k, boundary)[0]
 
 
 def step_length(k: GapPair, boundary: str = ADJUSTED) -> int:
     """Step of the accelerated shift: 1 on R1, k- on R2, the contracting
     formula on R3, ceil(k+/2) on R4."""
-    adjusted = _check_boundary(boundary)
-    if k.is_singular():
-        raise RegionDomainError("the accelerated shift is undefined at the zero sequence")
-    return _region_step(k.k_minus, k.k_plus, adjusted)[1]
+    return _region_step_at(k, boundary)[1]
 
 
 def region_steps(km, kp, boundary: str = ADJUSTED) -> tuple:
@@ -126,12 +128,12 @@ def region_steps(km, kp, boundary: str = ADJUSTED) -> tuple:
     with k+ = 0 and k- > 0 lands in R4 with step 0, so a walk that has
     reached the end of its block stays there."""
     adjusted = _check_boundary(boundary)
-    km = np.asarray(km, dtype=np.int64)
-    kp = np.asarray(kp, dtype=np.int64)
+    km, kp = np.broadcast_arrays(np.asarray(km, dtype=np.int64), np.asarray(kp, dtype=np.int64))
     expanding = 3 * km < kp if adjusted else 3 * km <= kp
     region = np.where(km == 0, 1, np.where(kp <= km, 4, np.where(expanding, 2, 3)))
-    contracting = kp - (km + kp) ** 2 // (8 * np.maximum(km, 1))
-    step = np.choose(region - 1, (1, km, contracting, (kp + 1) // 2))
+    step = np.where(region == 1, 1, np.where(region == 2, km, (kp + 1) // 2))
+    r3 = region == 3  # the contracting formula, only where it applies (k- > 0)
+    step[r3] = kp[r3] - (km[r3] + kp[r3]) ** 2 // (8 * km[r3])
     return region, step
 
 
@@ -450,9 +452,7 @@ def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
         kp = _halving_kplus(block, s, p - 1 - s)
         return GapPair(gap - kp, kp)
 
-    if i0 is not None:  # future side without ones
-        if not no_ones_right:
-            raise AmbiguousContextError("no next block leader; future side undeclared")
+    if i0 is not None:  # future side without ones, declared: else a block was decoded above
         for c in range(i0 + 1, len(letters)):
             if letters[c].y != 2:
                 raise DecodeError("future-segment-letters",
@@ -542,7 +542,8 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     """Left inverse of encode_sequence: block words decode to blocks, sides
     without y = 1 letters decode to zeros positioned by the parity rules,
     and words with no y = 1 at all (including the constant 1^x sequence)
-    decode to the zero sequence."""
+    decode to the zero sequence.  The result does not depend on the
+    boundary: both conventions walk the same offsets across a block."""
     for l in u.window + u.left + u.right:
         if not isinstance(l, CodeLetter):
             raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
@@ -561,21 +562,12 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
         raise DecodeError("past-segment-letters",
                           "an endless halving phase uses y = 4 letters")
 
-    # anchor: the bit of middle[0], from the origin's block middle[k - 1] .. middle[k]
+    # anchor: the origin's gap pair, from its block or an endless past's parity letters
     k = bisect_right(middle, 0)
-    if k == 0:  # endless halving past, its parity letters from 3 - middle[0] on
-        lo = min(0, 3 - middle[0])
-        first_bit = decode_position(u.segment(lo, middle[0] + 1), -lo, no_ones_left=True).k_plus
-    else:
-        i0 = middle[k - 1]
-        if k == len(middle):  # endless expanding future
-            bit0 = -decode_position(u.segment(i0, 1), -i0, no_ones_right=True).k_minus
-        else:
-            prof = return_profile(len(blocks[i0]), boundary)
-            if -i0 >= prof.p:
-                raise DecodeError("word-length", "block word longer than its return time")
-            bit0 = -prof.offsets[-i0]
-        first_bit = bit0 - sum(len(blocks[a]) for a in middle[:k - 1])
+    lo = middle[k - 1] if k else min(0, 3 - middle[0])
+    hi = middle[k] + 1 if k < len(middle) else 1
+    g = decode_position(u.segment(lo, hi), -lo, no_ones_left=not left, no_ones_right=not right)
+    first_bit = g.k_plus if k == 0 else -g.k_minus - sum(len(blocks[a]) for a in middle[:k - 1])
 
     window = _joined(middle, blocks) + (() if right else (1,))
     return BitSequence(window, first_bit, _joined(left, blocks) or (0,),

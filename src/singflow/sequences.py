@@ -37,6 +37,8 @@ def _primitive(word: tuple) -> tuple:
 
 def _tile(word: tuple, i: int, j: int) -> tuple:
     """word[k % len(word)] for k in i .. j-1; empty if j <= i."""
+    if j <= i:
+        return ()
     k = i % len(word)
     return (word * ((j - i + k) // len(word) + 1))[k:k + j - i]
 
@@ -107,14 +109,7 @@ class SymbolSequence:
 
     def at(self, n: int):
         """Symbol at coordinate n."""
-        if self.start <= n < self.end:
-            return self.window[n - self.start]
-        if n < self.start:
-            w = self.left
-            j = self.start - 1 - n
-            return w[len(w) - 1 - (j % len(w))]
-        w = self.right
-        return w[(n - self.end) % len(w)]
+        return self.segment(n, n + 1)[0]
 
     def segment(self, a: int, b: int) -> tuple:
         """Symbols at coordinates a .. b-1, tiled from the description."""
@@ -161,12 +156,14 @@ class BitSequence(SymbolSequence):
 
     def __init__(self, window=(), start=0, left=(0,), right=(0,)):
         super().__init__(window, start, left, right)
-        if not set(self.window) <= {0, 1} or not set(self.left) <= {0, 1} \
-                or not set(self.right) <= {0, 1}:
+        try:  # bytes() refuses non-integers and integers outside 0..255
+            rows = [bytes(w) for w in (self.window, self.left * 2, self.right * 2)]
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or any(row.translate(None, b"\x00\x01") for row in rows):
             raise ValueError("bit sequences hold 0/1 symbols")
-        object.__setattr__(self, "_wbytes", bytes(self.window))
-        object.__setattr__(self, "_left2", bytes(self.left * 2))
-        object.__setattr__(self, "_right2", bytes(self.right * 2))
+        for name, row in zip(BitSequence.__slots__, rows):
+            object.__setattr__(self, name, row)
 
     @classmethod
     def zero(cls) -> "BitSequence":

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from singflow import cli
 from singflow import codec as cdc
 from singflow.cli import main, parse_grid
 
@@ -109,6 +110,23 @@ def test_metric_seed_recorded(tmp_path):
     assert main(["metric", "--samples", "30", "--seed", "99",
                  "--output", str(target)]) == 0
     assert "seed=99" in target.read_text()
+
+
+@pytest.mark.parametrize("check, broken, lines", [
+    ("flowpoints_close", lambda *args: False, [
+        "flow-additivity      FAIL  20 triples, 20 mismatches",
+        "chain-metric         PASS  symmetry/diagonal/budget/triangle, 0 mismatches",
+        "unit-roof-extension  FAIL  equivariance, 10 mismatches"]),
+    ("bw_distance_upper", lambda *args: 1.0, [  # d(p, p) != 0
+        "flow-additivity      PASS  20 triples, 0 mismatches",
+        "chain-metric         FAIL  symmetry/diagonal/budget/triangle, 10 mismatches",
+        "unit-roof-extension  PASS  equivariance, 0 mismatches"]),
+], ids=["flowpoints_close", "bw_distance_upper"])
+def test_metric_prints_fail_lines_and_exits_one(check, broken, lines, monkeypatch, capsys):
+    monkeypatch.setattr(cli, check, broken)
+    code, out, err = run_cli(["metric", "--samples", "20", "--seed", "3"], capsys)
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["# roof=harmonic:1 samples=20 seed=3"] + lines
 
 
 def test_report_command(tmp_path):

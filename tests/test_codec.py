@@ -405,6 +405,28 @@ def test_decode_position_errors():
     assert err.value.constraint == "epsilon-bit"
 
 
+def test_decode_position_side_errors():
+    w11 = encode_block(11)
+    with pytest.raises(AmbiguousContextError, match="context ends inside a block"):
+        decode_position(w11[:4], 1)
+    with pytest.raises(AmbiguousContextError, match="no previous block leader"):
+        decode_position([letter(4, "x")] * 2 + [letter(1, "x")], 0)
+    with pytest.raises(DecodeError) as err:
+        decode_position([letter(1, "x"), letter(2, "x"), letter(4, "x")], 1, no_ones_right=True)
+    assert err.value.constraint == "future-segment-letters"
+    with pytest.raises(DecodeError) as err:
+        decode_position([letter(4, "x"), letter(2, "x"), letter(1, "x")], 0, no_ones_left=True)
+    assert err.value.constraint == "past-segment-letters"
+    # a context ending exactly at a block boundary needs no declared future
+    assert decode_position(w11, 5) == decode_position(w11 + (letter(1, "x"),), 5)
+
+
+def test_return_profile_offsets_do_not_depend_on_the_boundary():
+    # at k- = k+/3 the contracting step k+ - (4 k-)^2 // (8 k-) equals the expanding step k-
+    for gap in range(1, 20001):
+        assert return_profile(gap, PAPER).offsets == return_profile(gap, ADJUSTED).offsets, gap
+
+
 def test_decode_position_matches_simulation_exhaustively():
     for gap in range(1, 10 ** 4 + 1):
         prof = return_profile(gap)
@@ -747,8 +769,9 @@ def test_encode_sequence_matches_oracle(boundary):
                 == _outcome(_oracle_encode_sequence, y, boundary), (y, boundary)
 
 
-@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
-def test_decode_sequence_matches_oracle(boundary):
+def decode_cases(boundary):
+    """Shifted and corrupted code images under ``boundary``, and endless
+    letter sequences with some of them corrupted."""
     rng = random.Random(802)
     images = [u for u in (_outcome(_oracle_encode_sequence, x, boundary)
                           for x in recurrent_cases(rng, boundary, 120))
@@ -756,10 +779,24 @@ def test_decode_sequence_matches_oracle(boundary):
     cases = [shift(u, s) for u in images[:40] for s in range(-8, 9)]
     cases += [corrupted(rng, u, rng.randint(1, 3)) for u in images for _ in range(4)]
     endless = list(endless_cases(rng, boundary, 300))
-    cases += endless + [corrupted(rng, v, rng.randint(1, 2)) for v in endless[:100]]
-    for v in cases:
+    return cases + endless + [corrupted(rng, v, rng.randint(1, 2)) for v in endless[:100]]
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_decode_sequence_matches_oracle(boundary):
+    for v in decode_cases(boundary):
         assert _outcome(decode_sequence, v, boundary) \
             == _outcome(_oracle_decode_sequence, v, boundary), (v, boundary)
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_decode_sequence_does_not_depend_on_the_boundary(boundary):
+    # the oracle still anchors through return_profile under its boundary
+    other = PAPER if boundary == ADJUSTED else ADJUSTED
+    for v in decode_cases(boundary):
+        want = _outcome(_oracle_decode_sequence, v, boundary)
+        assert _outcome(_oracle_decode_sequence, v, other) == want, v
+        assert _outcome(decode_sequence, v, other) == want, v
 
 
 # ---------------------------------------------------------------------------

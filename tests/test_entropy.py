@@ -400,3 +400,14 @@ def test_table_profile_integral():
     harm = lam * (2 - lam) / (1 - lam) * (-math.log(lam * (2 - lam)))
     harm -= w(1) * 1.0 + w(2) / 2.0
     assert direct == pytest.approx(lam + head + harm, rel=1e-10)
+
+
+def test_scan_csv_rows_of_a_divergent_family():
+    # k g(k) -> 0: no finite target, so each row names the divergence and leaves the error empty
+    scan = singular_limit_scan(Power(2.0), [1e-3, 1e-4])
+    assert scan.target is None and scan.final_abs_error is None
+    buf = io.StringIO()
+    scan.to_csv(buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[:2] == ["# profile=power:2", "lambda,integral,entropy,target,abs_error"]
+    assert lines[2:] == [f"{r.lam!r},{r.integral!r},{r.entropy!r},divergent," for r in scan.rows]

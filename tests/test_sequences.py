@@ -437,3 +437,40 @@ def test_window_absorption_matches_rotation_on_long_windows():
 def test_bit_validation():
     with pytest.raises(ValueError):
         BitSequence((2,), 0)
+
+
+@pytest.mark.parametrize("symbol", ["a", 2, -1, 256, 1.0])
+@pytest.mark.parametrize("where", ["window", "left", "right"])
+def test_bit_validation_names_every_non_bit_symbol(symbol, where):
+    parts = {"window": (1,), "left": (0,), "right": (0,)}
+    parts[where] = (1, symbol, 1) if where == "window" else (symbol, 1)
+    with pytest.raises(ValueError, match="bit sequences hold 0/1 symbols"):
+        BitSequence(parts["window"], 0, parts["left"], parts["right"])
+
+
+def _old_at(x, n):
+    """Coordinate lookup as written before it read ``segment``."""
+    if x.start <= n < x.end:
+        return x.window[n - x.start]
+    if n < x.start:
+        w = x.left
+        return w[len(w) - 1 - ((x.start - 1 - n) % len(w))]
+    w = x.right
+    return w[(n - x.end) % len(w)]
+
+
+def test_segment_far_from_the_window():
+    far = BitSequence.from_ones([0, 3]).shifted(-2 ** 70)
+    assert far.segment(-2, 3) == (0,) * 5
+    assert far.segment(2 ** 70 - 1, 2 ** 70 + 5) == (0, 1, 0, 0, 1, 0)
+    assert far.segment(3, -2) == () == far.segment(2 ** 70, 2 ** 70)
+
+
+def test_at_matches_the_direct_lookup_near_and_far_from_the_window():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        x = random_sequence(rng)
+        far = int(rng.choice([-1, 1])) * 2 ** 70 + int(rng.integers(-50, 50))
+        for y in (x, x.shifted(far)):
+            for n in [int(v) for v in rng.integers(-30, 30, size=8)] + [far, -far]:
+                assert y.at(n) == _old_at(y, n), (y, n)

@@ -79,6 +79,16 @@ def test_flow_additivity_sampled():
         assert flowpoints_close(lhs, rhs, HARM, 1e-9)
 
 
+def test_flowpoints_close_across_one_roof_crossing_in_either_order():
+    x = BitSequence.from_ones([-2, 9])  # roofs 1/2 at the origin, 1/3 one step on
+    top = FlowPoint(x, roof_eval(HARM, x) - 1e-10)
+    bottom = FlowPoint(x.shifted(1), 2e-10)  # 3e-10 of flow above top, read on x's roof
+    for p, q in ((top, bottom), (bottom, top)):
+        assert flowpoints_close(p, q, HARM, 1e-9)
+        assert not flowpoints_close(p, q, HARM, 1e-10)
+    assert not flowpoints_close(top, FlowPoint(x.shifted(2), 0.0), HARM, 1.0)
+
+
 def test_flow_outputs_canonical():
     rng = np.random.default_rng(29)
     for _ in range(200):
