@@ -60,11 +60,9 @@ class CodecDomainError(ValueError):
 
 
 def _check_boundary(boundary: str) -> bool:
-    if boundary == ADJUSTED:
-        return True
-    if boundary == PAPER:
-        return False
-    raise ValueError(f"boundary must be {ADJUSTED!r} or {PAPER!r}")
+    if boundary not in (ADJUSTED, PAPER):
+        raise ValueError(f"boundary must be {ADJUSTED!r} or {PAPER!r}")
+    return boundary == ADJUSTED
 
 
 def ceil_sqrt(n: int) -> int:
@@ -410,70 +408,57 @@ def _decode_rows(rows) -> tuple:
     return np.where(err == 0, np.where(block, gap, p), 0).ravel(), err.ravel()
 
 
+def _check_endless_phase(letters, y: int) -> None:
+    """Endless sides are one phase: an expanding future (y = 2), a halving past (y = 4)."""
+    for l in letters:
+        if l.y != y:
+            side, phase = ("future", "expanding") if y == 2 else ("past", "halving")
+            raise DecodeError(f"{side}-segment-letters",
+                              f"an endless {phase} phase uses y = {y} letters")
+
+
 def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
                     no_ones_right: bool = False, boundary: str = ADJUSTED) -> GapPair:
     """Gap coordinates of the base point whose code image carries the letter
-    at ``offset`` of ``word_context`` at its origin.
-
-    Inside a complete block the letter index determines one coordinate
-    directly (k- = 0 at the leading letter, k- = 2^(q-2) in the expanding
-    phase, the parity expansion of k+ in the halving phase) and the decoded
-    gap gives the other.  The flags declare that the context continues
-    without y = 1 letters beyond the given side.
+    at ``offset`` of ``word_context`` at its origin, by one rule: a halving
+    letter (y = 4) reads k+ from the parity letters after it, any other letter
+    has k- = 0 at its block leader (y = 1) or 2^(q-2) as the block's q-th
+    letter, and the gap gives the other coordinate.  The gap is the decoded
+    block word, infinite on a side the flags declare free of y = 1 letters.
     """
+    _check_boundary(boundary)
     letters = tuple(word_context)
-    if not 0 <= offset < len(letters):
+    n = len(letters)
+    if not 0 <= offset < n:
         raise AmbiguousContextError("offset outside the provided context")
     i0 = next((c for c in range(offset, -1, -1) if letters[c].y == 1), None)
-    i1 = next((c for c in range(offset + 1, len(letters)) if letters[c].y == 1), None)
-
-    if i0 is not None and i1 is None and not no_ones_right:
-        # the context may end exactly at a block boundary
-        try:
-            decode_word(letters[i0:])
-        except DecodeError:
-            raise AmbiguousContextError(
-                "context ends inside a block and the future side is undeclared"
-            ) from None
-        i1 = len(letters)
-
-    if i0 is not None and i1 is not None:
-        block = letters[i0:i1]
-        gap = decode_word(block)
-        p = len(block)
-        q = offset - i0 + 1
-        y = letters[offset].y
-        if y == 1:
-            return GapPair(0, gap)
-        if y in (2, 3):
-            km = 1 << (q - 2)
-            return GapPair(km, gap - km)
-        s = q - 1  # step index of the halving phase
-        kp = _halving_kplus(block, s, p - 1 - s)
-        return GapPair(gap - kp, kp)
-
-    if i0 is not None:  # future side without ones, declared: else a block was decoded above
-        for c in range(i0 + 1, len(letters)):
-            if letters[c].y != 2:
-                raise DecodeError("future-segment-letters",
-                                  "an endless expanding phase uses y = 2 letters")
-        q = offset - i0 + 1
-        if q == 1:
-            return GapPair(0, INF)
-        return GapPair(1 << (q - 2), INF)
-
-    if i1 is not None:  # past side without ones
+    i1 = next((c for c in range(offset + 1, n) if letters[c].y == 1), n)
+    if i0 is None:
+        if i1 == n:
+            if no_ones_left and no_ones_right:
+                return GapPair(INF, INF)
+            raise AmbiguousContextError("no block leader in the context and sides undeclared")
         if not no_ones_left:
             raise AmbiguousContextError("no previous block leader; past side undeclared")
-        for c in range(0, i1):
-            if letters[c].y != 4:
-                raise DecodeError("past-segment-letters",
-                                  "an endless halving phase uses y = 4 letters")
-        return GapPair(INF, _halving_kplus(letters, offset, i1 - offset - 1))
-
-    if no_ones_left and no_ones_right:
-        return GapPair(INF, INF)
-    raise AmbiguousContextError("no block leader in the context and sides undeclared")
+        _check_endless_phase(letters[:i1], 4)
+        gap = INF
+    elif i1 == n and no_ones_right:
+        _check_endless_phase(letters[i0 + 1:], 2)
+        gap = INF
+    else:
+        try:
+            gap = decode_word(letters[i0:i1])
+        except DecodeError:
+            if i1 < n:
+                raise
+            # an undeclared future may end the context exactly at a block boundary
+            raise AmbiguousContextError(
+                "context ends inside a block and the future side is undeclared") from None
+    if letters[offset].y == 4:
+        kp = _halving_kplus(letters, offset, i1 - offset - 1)
+        return GapPair(gap - kp if gap < INF else INF, kp)
+    km = 0 if offset == i0 else 1 << (offset - i0 - 1)
+    return GapPair(km, gap - km if gap < INF else INF)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +512,11 @@ def encode_sequence(x: BitSequence, boundary: str = ADJUSTED) -> SymbolSequence:
         raise CodecDomainError(
             "block coding needs 1s in both tails (recurrent domain)")
     pos0, pos1 = x.ones_around(0)  # the origin's block
-    try:
-        q0 = return_profile(pos1 - pos0, boundary).offsets[:-1].index(-pos0)
-    except ValueError:
-        raise CodecDomainError(
-            "origin is not on the accelerated orbit of its block") from None
+    offsets = return_profile(pos1 - pos0, boundary).offsets[:-1]
+    if -pos0 not in offsets:
+        raise CodecDomainError("origin is not on the accelerated orbit of its block")
     left, middle, right, words = _frame(x, x, lambda a, b: encode_block(b - a, boundary))
-    origin = q0 + sum(len(words[a]) for a in middle if a < pos0)
+    origin = offsets.index(-pos0) + sum(len(words[a]) for a in middle if a < pos0)
     return SymbolSequence(_joined(middle, words), -origin,
                           _joined(left, words), _joined(right, words))
 
@@ -544,6 +527,7 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     and words with no y = 1 at all (including the constant 1^x sequence)
     decode to the zero sequence.  The result does not depend on the
     boundary: both conventions walk the same offsets across a block."""
+    _check_boundary(boundary)
     for l in u.window + u.left + u.right:
         if not isinstance(l, CodeLetter):
             raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
@@ -555,12 +539,10 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
 
     left, middle, right, blocks = _frame(
         lead, u, lambda a, b: b"\x01" + bytes(decode_word(u.segment(a, b)) - 1))
-    if not right and any(l.y != 2 for l in u.segment(middle[-1] + 1, u.end) + u.right):
-        raise DecodeError("future-segment-letters",
-                          "an endless expanding phase uses y = 2 letters")
-    if not left and any(l.y != 4 for l in u.left + u.segment(u.start, middle[0])):
-        raise DecodeError("past-segment-letters",
-                          "an endless halving phase uses y = 4 letters")
+    if not right:
+        _check_endless_phase(u.segment(middle[-1] + 1, u.end) + u.right, 2)
+    if not left:
+        _check_endless_phase(u.left + u.segment(u.start, middle[0]), 4)
 
     # anchor: the origin's gap pair, from its block or an endless past's parity letters
     k = bisect_right(middle, 0)
@@ -623,9 +605,5 @@ def roof_prime_continuity_probe(profile, K: int, boundary: str = ADJUSTED) -> fl
 
 def fiber_sfts() -> tuple:
     """The two 2-word-generated subshifts sitting over the singular fiber of
-    the symbolic extension."""
-    first = ((letter(2, 0), letter(2, "x")),
-             (letter(2, 1), letter(2, "x")))
-    second = ((letter(4, 0), letter(4, "x")),
-              (letter(4, 1), letter(4, "x")))
-    return first, second
+    the symbolic extension: endless expanding (y = 2) and halving (y = 4) phases."""
+    return tuple(tuple((letter(y, b), letter(y, "x")) for b in (0, 1)) for y in (2, 4))

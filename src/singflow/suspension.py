@@ -202,6 +202,8 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     """
     if chain_budget < 2:
         raise ValueError("chain budget must be at least 2")
+    if window < 0:
+        raise ValueError("window must be nonnegative")
     if a == b:
         return 0.0
     ua, ub = norm_height(a, f), norm_height(b, f)

@@ -436,6 +436,185 @@ def test_decode_position_matches_simulation_exhaustively():
             assert (got.k_minus, got.k_plus) == (offsets[q], gap - offsets[q])
 
 
+# the one-rule decode_position against the four-branch function it replaced,
+# kept verbatim below as the oracle
+
+def _oracle_decode_position(word_context, offset: int, *, no_ones_left: bool = False,
+                               no_ones_right: bool = False,
+                               boundary: str = ADJUSTED) -> GapPair:
+    """Gap coordinates of the base point whose code image carries the letter
+    at ``offset`` of ``word_context`` at its origin.
+
+    Inside a complete block the letter index determines one coordinate
+    directly (k- = 0 at the leading letter, k- = 2^(q-2) in the expanding
+    phase, the parity expansion of k+ in the halving phase) and the decoded
+    gap gives the other.  The flags declare that the context continues
+    without y = 1 letters beyond the given side.
+    """
+    letters = tuple(word_context)
+    if not 0 <= offset < len(letters):
+        raise AmbiguousContextError("offset outside the provided context")
+    i0 = next((c for c in range(offset, -1, -1) if letters[c].y == 1), None)
+    i1 = next((c for c in range(offset + 1, len(letters)) if letters[c].y == 1), None)
+
+    if i0 is not None and i1 is None and not no_ones_right:
+        # the context may end exactly at a block boundary
+        try:
+            decode_word(letters[i0:])
+        except DecodeError:
+            raise AmbiguousContextError(
+                "context ends inside a block and the future side is undeclared"
+            ) from None
+        i1 = len(letters)
+
+    if i0 is not None and i1 is not None:
+        block = letters[i0:i1]
+        gap = decode_word(block)
+        p = len(block)
+        q = offset - i0 + 1
+        y = letters[offset].y
+        if y == 1:
+            return GapPair(0, gap)
+        if y in (2, 3):
+            km = 1 << (q - 2)
+            return GapPair(km, gap - km)
+        s = q - 1  # step index of the halving phase
+        kp = cdc._halving_kplus(block, s, p - 1 - s)
+        return GapPair(gap - kp, kp)
+
+    if i0 is not None:  # future side without ones, declared: else a block was decoded above
+        for c in range(i0 + 1, len(letters)):
+            if letters[c].y != 2:
+                raise DecodeError("future-segment-letters",
+                                  "an endless expanding phase uses y = 2 letters")
+        q = offset - i0 + 1
+        if q == 1:
+            return GapPair(0, INF)
+        return GapPair(1 << (q - 2), INF)
+
+    if i1 is not None:  # past side without ones
+        if not no_ones_left:
+            raise AmbiguousContextError("no previous block leader; past side undeclared")
+        for c in range(0, i1):
+            if letters[c].y != 4:
+                raise DecodeError("past-segment-letters",
+                                  "an endless halving phase uses y = 4 letters")
+        return GapPair(INF, cdc._halving_kplus(letters, offset, i1 - offset - 1))
+
+    if no_ones_left and no_ones_right:
+        return GapPair(INF, INF)
+    raise AmbiguousContextError("no block leader in the context and sides undeclared")
+
+
+_PARITY_Z = (0, 1, "x")
+_Z_ALL = (0, 1, 2, 3, 4, "x")
+
+
+def position_contexts(rng, n):
+    """(context, offset, no_ones_left, no_ones_right) for decode_position:
+    fragments of one to three code words of gaps below 3000, some with one
+    letter replaced; runs of y in {1, 2} or {1, 3, 4} letters, mostly with
+    z in {0, 1, x}, a few of them over 1000 letters long; random letters.
+    Offsets run from -1 to the context's length."""
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            letters = [l for _ in range(rng.randint(1, 3))
+                       for l in encode_block(rng.randrange(1, 3000))]
+            a = rng.randrange(len(letters))
+            ctx = letters[a:rng.randint(a + 1, len(letters))]
+            if rng.random() < 0.3:
+                ctx[rng.randrange(len(ctx))] = rng.choice(ALPHABET)
+        elif kind == 3:
+            ctx = [rng.choice(ALPHABET) for _ in range(rng.randint(1, 12))]
+        else:
+            ys = (1, 2, 2, 2, 2) if kind == 1 else (1, 3, 4, 4, 4, 4, 4)
+            size = rng.randint(1100, 1200) if rng.random() < 0.002 else rng.randint(1, 24)
+            ctx = [letter(rng.choice(ys), rng.choice(_PARITY_Z if rng.random() < 0.9 else _Z_ALL))
+                   for _ in range(size)]
+        yield ctx, rng.randint(-1, len(ctx)), rng.random() < 0.5, rng.random() < 0.5
+
+
+def _position_outcome(fn, ctx, offset, left, right):
+    """The GapPair, or the type and message of the codec error raised."""
+    try:
+        return fn(ctx, offset, no_ones_left=left, no_ones_right=right)
+    except (AmbiguousContextError, DecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _outcome_class(outcome):
+    if isinstance(outcome, GapPair):
+        return "pair", outcome.k_minus == INF, outcome.k_plus == INF
+    kind, message = outcome
+    return kind.__name__, message.split(":")[0] if kind is DecodeError else message
+
+
+def _same_position_outcome(got, want):
+    # equal pairs with equal coordinate types: an infinite coordinate stays math.inf
+    return got == want and (not isinstance(want, GapPair) or (
+        type(got.k_minus), type(got.k_plus)) == (type(want.k_minus), type(want.k_plus)))
+
+
+def test_decode_position_matches_oracle_on_seeded_contexts():
+    reached = set()
+    for case in position_contexts(random.Random(1301), 100_000):
+        want = _position_outcome(_oracle_decode_position, *case)
+        got = _position_outcome(decode_position, *case)
+        assert _same_position_outcome(got, want), (case, got, want)
+        reached.add(_outcome_class(want))
+    constraints = {"fixed-word-shape", "y-pattern", "return-time-shape", "z1-range",
+                   "epsilon-bit", "z-extraneous", "not-in-image",
+                   "future-segment-letters", "past-segment-letters"}
+    ambiguous = {"offset outside the provided context",
+                 "context ends inside a block and the future side is undeclared",
+                 "no previous block leader; past side undeclared",
+                 "no block leader in the context and sides undeclared",
+                 "parity bits of the halving phase fall before the context"}
+    pairs = {("pair", left, right) for left in (False, True) for right in (False, True)}
+    assert reached == ({("DecodeError", c) for c in constraints}
+                       | {("AmbiguousContextError", m) for m in ambiguous} | pairs)
+
+
+def test_decode_position_matches_oracle_on_arbitrary_contexts():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=30), st.data(),
+               st.booleans(), st.booleans())
+    def check(ctx, data, left, right):
+        offset = data.draw(st.integers(-1, len(ctx)))
+        case = ctx, offset, left, right
+        assert _same_position_outcome(_position_outcome(decode_position, *case),
+                                      _position_outcome(_oracle_decode_position, *case)), case
+
+    check()
+
+
+def test_decode_position_on_endless_sides_beyond_float_range():
+    # k- and k+ past 2^1024 stay exact integers beside an infinite coordinate
+    future = [letter(1, "x")] + [letter(2, "x")] * 1100
+    got = decode_position(future, 1100, no_ones_right=True)
+    assert got == GapPair(1 << 1099, INF) == _oracle_decode_position(future, 1100,
+                                                                     no_ones_right=True)
+    past = [letter(4, 1)] * 2101 + [letter(1, "x")]
+    got = decode_position(past, 1050, no_ones_left=True)
+    assert got == GapPair(INF, (1 << 1051) - 1) == _oracle_decode_position(
+        past, 1050, no_ones_left=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: decode_sequence(encode_sequence(BitSequence.periodic((1,) + (0,) * 10)), "bogus"),
+    lambda: decode_position(encode_block(11), 0, boundary="bogus"),
+    # the boundary's ValueError, not a CodecDomainError about the origin
+    lambda: encode_sequence(BitSequence.periodic((1, 0, 0)), "bogus"),
+], ids=["decode_sequence", "decode_position", "encode_sequence"])
+def test_sequence_codec_checks_the_boundary(call):
+    with pytest.raises(ValueError, match="boundary must be 'adjusted' or 'paper'"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the block code on sequences
 
@@ -560,8 +739,6 @@ def test_decode_sequence_endless_halving_past():
 # leader at a time
 
 ONE_X = letter(1, "x")
-_PARITY_Z = (0, 1, "x")
-_Z_ALL = (0, 1, 2, 3, 4, "x")
 
 
 def _oracle_encode_sequence(x, boundary=ADJUSTED):

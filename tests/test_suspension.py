@@ -297,6 +297,15 @@ def test_bw_distance_examples():
     assert bw_distance_upper(p, q, UNIT, 2) <= 0.7 + 1e-12
 
 
+def test_bw_distance_rejects_a_negative_window():
+    x = parse_sequence_literal("0*|1011|0*")
+    a, b = FlowPoint(x, 0.0), FlowPoint(shift(x, 1), 0.0)
+    for window in (-1, -4):
+        with pytest.raises(ValueError, match="window must be nonnegative"):
+            bw_distance_upper(a, b, UNIT, 4, window)
+    assert bw_distance_upper(a, b, UNIT, 4, 0) <= 1.0 + 1e-12
+
+
 def test_bw_distance_same_height_equals_horizontal_formula():
     x = parse_sequence_literal("0*|1011|0*")
     y = parse_sequence_literal("0*|1101|0*")
