@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .roofs import RoofFunction
+from .roofs import RoofFunction, roof_between
 from .sequences import INF, BitSequence, GapPair, SymbolSequence, gap_pair
 
 ADJUSTED = "adjusted"
@@ -180,9 +180,9 @@ ONE_X = letter(1, "x")
 
 def parse_letter(text: str) -> CodeLetter:
     y, sep, z = text.strip().partition("^")
-    if not sep or len(y) != 1 or not y.isdigit():
+    if not sep or len(y) != 1 or not y.isdecimal():
         raise DecodeError("letter-format", f"expected y^z, got {text!r}")
-    zv = z if z == "x" else (int(z) if z.isdigit() and len(z) == 1 else None)
+    zv = z if z == "x" else (int(z) if z.isdecimal() and len(z) == 1 else None)
     if zv is None:
         raise DecodeError("letter-format", f"bad z coordinate in {text!r}")
     try:
@@ -306,14 +306,20 @@ def _halving_kplus(letters, q: int, e: int) -> int:
     return kp
 
 
+def _code_letters(letters) -> tuple:
+    """The letters as a tuple; anything but a code letter raises DecodeError."""
+    letters = tuple(letters)
+    for l in letters:
+        if not isinstance(l, CodeLetter):
+            raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
+    return letters
+
+
 def decode_word(word) -> int:
     """Gap of the block whose code word this is; structural violations raise
     DecodeError naming the broken constraint, and a well-formed word that is
     no gap's code word raises it with ``not-in-image``."""
-    letters = tuple(word)
-    for l in letters:
-        if not isinstance(l, CodeLetter):
-            raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
+    letters = _code_letters(word)
     p = len(letters)
     if p == 0:
         raise DecodeError("empty-word", "no letters")
@@ -361,51 +367,34 @@ def _in_image(gap, km, kp):
     return (km < gap - km) & (gap - km <= 3 * km) & (gap * gap // (8 * km) == kp)
 
 
-# the constraints of decode_word in the order it checks them; _decode_rows
-# names a row's first violated one by its index here, 0 when the row decodes
-_DECODE_CONSTRAINTS = (None, "letter-alphabet", "empty-word", "fixed-word-shape",
-                       "y-pattern", "return-time-shape", "z1-range", "epsilon-bit",
-                       "z-extraneous", "not-in-image")
-
 # the widest walk across a gap below 2^30 (r <= 29, then 29 halvings): 8 k- k+ < 2^60
 _ROW_MAX = 59
 
 
-def _decode_rows(rows) -> tuple:
+def _decode_rows(rows) -> np.ndarray:
     """``decode_word`` on an int64 matrix of words, one per row of ALPHABET
     indices padded on the right with -1 (any other entry before the padding
-    is no letter).  Returns int64 arrays (gaps, err), err indexing
-    _DECODE_CONSTRAINTS by the first constraint decode_word raises, 0 if none."""
+    is no letter): the int64 array of the decoded gaps, 0 where decode_word raises."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] > _ROW_MAX:
         raise ValueError(f"rows must be a matrix at most {_ROW_MAX} letters wide")
     rows = np.pad(rows, ((0, 0), (0, max(0, 3 - rows.shape[1]))), constant_values=-1)
     c, filled = np.arange(rows.shape[1]), rows != -1
     p = np.where(filled.any(1), c.size - filled[:, ::-1].argmax(1), 0)[:, None]
-    word, block = c < p, p >= 3
-    y, z = rows // 6 + 1, rows % 6  # z = 5 is x
+    word = c < p
+    y, z = rows // 6 + 1, rows % 6  # z = 5 is x; no y is 1..4 outside the alphabet
     r = np.count_nonzero(word & (y == 2), axis=1, keepdims=True) + 1
     first = 2 * r + 6 - p  # parity slots: from this 1-based position on, every other one
     slot = (c + 1 >= first) & ((p - 1 - c) % 2 == 0)
-    bad = word & (c >= 1) & np.where(slot, z > 1, z != 5)
-    err = np.select([
-        (word & ((rows < 0) | (rows >= len(ALPHABET)))).any(1, keepdims=True),
-        p == 0,
-        ~block & (word[:, :2] & (rows[:, :2] != (5, 23))).any(1, keepdims=True),  # 1^x 4^x
-        block & ((word & (y != np.select([c == 0, c < r, c == r], [1, 2, 3], 4)))
-                 .any(1, keepdims=True) | (p - 1 - r < 1)),
-        block & (first < 3),
-        block & (z[:, :1] == 5),
-        block & np.take_along_axis(bad & slot, bad.argmax(1)[:, None], 1),
-        block & bad.any(1, keepdims=True),
-    ], range(1, 9))
-    decoded = block & (err == 0)
+    bad = word & ((y != np.select([c == 0, c < r, c == r], [1, 2, 3], 4))
+                  | (c >= 1) & np.where(slot, z > 1, z != 5))
+    block = (p >= 3) & (p - r >= 2) & (first >= 3) & (z[:, :1] != 5) & ~bad.any(1, keepdims=True)
     bits = np.where(word & slot, z & 1, 0) << np.clip((c + 1 - first) // 2, 0, c.size)
-    km = np.where(decoded, 1 << (r - 1), 1)
-    kp = np.where(decoded, (1 << np.clip(p - r - 2, 0, c.size)) + bits.sum(1, keepdims=True), 1)
+    km = np.where(block, 1 << (r - 1), 1)
+    kp = np.where(block, (1 << np.clip(p - r - 2, 0, c.size)) + bits.sum(1, keepdims=True), 1)
     gap = z[:, :1] + ceil_sqrt_array(8 * km * kp)
-    err[decoded & ~_in_image(gap, km, kp)] = _DECODE_CONSTRAINTS.index("not-in-image")
-    return np.where(err == 0, np.where(block, gap, p), 0).ravel(), err.ravel()
+    fixed = (p <= 2) & ~(word[:, :2] & (rows[:, :2] != (5, 23))).any(1, keepdims=True)  # 1^x 4^x
+    return np.where(block & _in_image(gap, km, kp), gap, np.where(fixed, p, 0)).ravel()
 
 
 def _check_endless_phase(letters, y: int) -> None:
@@ -427,7 +416,7 @@ def decode_position(word_context, offset: int, *, no_ones_left: bool = False,
     block word, infinite on a side the flags declare free of y = 1 letters.
     """
     _check_boundary(boundary)
-    letters = tuple(word_context)
+    letters = _code_letters(word_context)
     n = len(letters)
     if not 0 <= offset < n:
         raise AmbiguousContextError("offset outside the provided context")
@@ -528,9 +517,7 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     decode to the zero sequence.  The result does not depend on the
     boundary: both conventions walk the same offsets across a block."""
     _check_boundary(boundary)
-    for l in u.window + u.left + u.right:
-        if not isinstance(l, CodeLetter):
-            raise DecodeError("letter-alphabet", f"not a code letter: {l!r}")
+    _code_letters(u.window + u.left + u.right)
     leads = [tuple(int(l.y == 1) for l in w) for w in (u.window, u.left, u.right)]
     lead = BitSequence(leads[0], u.start, *leads[1:])  # a 1 at each block leader of u
     # the image of the zero sequence wins its collision with the all-ones one
@@ -564,7 +551,7 @@ def _birkhoff_over_step(km, kp, f: RoofFunction, boundary: str = ADJUSTED) -> fl
     step = step_length(GapPair(km, kp), boundary)
     if step > _STEP_CAP:
         raise RuntimeError(f"step of length {step} exceeds the summation cap")
-    return math.fsum(f.value_at_gap(min(km + j, kp - j)) for j in range(step))
+    return math.fsum(roof_between(f, j, -km, kp) for j in range(step))
 
 
 def roof_prime(x: BitSequence, f: RoofFunction, boundary: str = ADJUSTED) -> float:

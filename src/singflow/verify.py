@@ -162,7 +162,7 @@ def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         encodable = wk.coded | (wk.gaps <= 2)
         anomalies += wk.gaps[~encodable].tolist()
         # a walk wider than the kernel's rows is no code word's
-        back, _ = cdc._decode_rows(((wk.regions - 1) * 6 + z)[:, :cdc._ROW_MAX])
+        back = cdc._decode_rows(((wk.regions - 1) * 6 + z)[:, :cdc._ROW_MAX])
         failed = encodable & (wk.z1_bad | (back != wk.gaps) | (wk.p > cdc._ROW_MAX))
         if failed.any():
             i = failed.argmax()

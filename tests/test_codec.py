@@ -7,12 +7,12 @@ import pytest
 from singflow import codec as cdc
 from singflow import (ADJUSTED, ALPHABET, PAPER, AmbiguousContextError,
                       BitSequence, CodeLetter, CodecDomainError, DecodeError,
-                      FirstReturnStructureError, GapPair, Harmonic,
-                      Power, RegionDomainError, RoofFunction, SymbolSequence,
-                      accel_step,
+                      FirstReturnStructureError, GapPair, Geometric, Harmonic,
+                      LogHarmonic, Power, RegionDomainError, RoofFunction,
+                      SymbolSequence, Truncated, accel_step,
                       ceil_sqrt, decode_position, decode_sequence, decode_word,
                       encode_block, encode_sequence, fiber_sfts, gap_pair,
-                      letter, parse_word, region_of, render_word,
+                      letter, parse_letter, parse_word, region_of, render_word,
                       return_profile, roof_prime, roof_prime_continuity_probe,
                       sft_entropy_wordcount, shift, step_length)
 
@@ -202,6 +202,35 @@ def test_decode_structural_errors():
     assert err.value.constraint == "z-extraneous"
 
 
+@pytest.mark.parametrize("text", ["1^\u00b2", "\u00b2^0"])
+def test_parse_letter_rejects_a_superscript_digit_as_a_format_error(text):
+    # str.isdigit accepts the superscript two, which int() rejects
+    with pytest.raises(DecodeError) as err:
+        parse_letter(text)
+    assert err.value.constraint == "letter-format"
+
+
+def test_parse_word_raises_only_decode_errors():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # y^z shapes over ASCII digits, x and digits that are not decimal (superscript
+    # two, circled one) or not ASCII (Arabic-Indic three)
+    part = st.sampled_from("0123456x\u00b2\u2460\u0663")
+    token = st.one_of(st.sampled_from([str(l) for l in ALPHABET]), st.text(max_size=4),
+                      st.tuples(part, part).map("^".join))
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(st.one_of(st.text(max_size=20), st.lists(token, max_size=6).map(" ".join)))
+    def check(text):
+        try:
+            word = parse_word(text)
+        except DecodeError:
+            return
+        assert all(isinstance(l, CodeLetter) for l in word)
+
+    check()
+
+
 def test_decode_rejects_a_well_formed_word_outside_the_image():
     # the formula gives gap 14, whose word is 1^0 2^x 2^x 3^x 4^0 4^x 4^1
     with pytest.raises(DecodeError) as err:
@@ -271,14 +300,14 @@ def _scalar_decode(word):
 
 
 def _assert_rows_decode_like_decode_word(words, width):
+    """The kernel's gap is decode_word's where it returns and 0 where it
+    raises; returns decode_word's (gap, constraint) per row."""
     rows = np.full((len(words), width), -1, dtype=np.int64)
     for row, word in zip(rows, words):
         row[:len(word)] = word
-    gaps, err = cdc._decode_rows(rows)
-    got = [(g if e == 0 else None, cdc._DECODE_CONSTRAINTS[e])
-           for g, e in zip(gaps.tolist(), err.tolist())]
-    assert got == [_scalar_decode(_word_of_row(row)) for row in rows.tolist()]
-    return got
+    want = [_scalar_decode(_word_of_row(row)) for row in rows.tolist()]
+    assert cdc._decode_rows(rows).tolist() == [g or 0 for g, _ in want]
+    return want
 
 
 def _edited(word, edits):
@@ -320,14 +349,16 @@ def _corrupted(word, rng):
     return word
 
 
-def test_decode_rows_names_the_first_constraint_of_corrupted_words():
+def test_decode_rows_rejects_the_corrupted_words_decode_word_rejects():
     rng = random.Random(20261018)
     base = [_edited(p.word, ()) for b in (ADJUSTED, PAPER) for g in range(1, 5001)
             if (p := return_profile(g, b)).word]
     words = [_corrupted(rng.choice(base), rng) for _ in range(30000)]
     got = _assert_rows_decode_like_decode_word(words, 30)
-    named = {c for _, c in got}
-    assert named == set(cdc._DECODE_CONSTRAINTS) - {"return-time-shape"}
+    # every constraint of decode_word but return-time-shape, and some words decode
+    assert {c for _, c in got} == {
+        None, "letter-alphabet", "empty-word", "fixed-word-shape", "y-pattern",
+        "z1-range", "epsilon-bit", "z-extraneous", "not-in-image"}
 
 
 def test_decode_rows_rejects_rows_beyond_the_walk_width():
@@ -403,6 +434,13 @@ def test_decode_position_errors():
     with pytest.raises(DecodeError) as err:
         decode_position([letter(4, "x")] * 3 + [letter(1, "x")], 0, no_ones_left=True)
     assert err.value.constraint == "epsilon-bit"
+
+
+@pytest.mark.parametrize("context", [["a"], [letter(1, "x"), "a"]])
+def test_decode_position_rejects_a_context_holding_no_letter(context):
+    with pytest.raises(DecodeError) as err:
+        decode_position(context, 0)
+    assert err.value.constraint == "letter-alphabet"
 
 
 def test_decode_position_side_errors():
@@ -613,6 +651,56 @@ def test_decode_position_on_endless_sides_beyond_float_range():
 def test_sequence_codec_checks_the_boundary(call):
     with pytest.raises(ValueError, match="boundary must be 'adjusted' or 'paper'"):
         call()
+
+
+# typed errors: contexts and sequences mixing code words, loose letters and,
+# now and then, an object that is no letter
+
+_NOT_LETTERS = ("a", "1^x", 0, 1, None, 2.5, (1, "x"))
+
+
+def _mixed_letters(st, min_size=0):
+    piece = st.one_of(st.integers(1, 300).map(lambda g: list(encode_block(g))),
+                      st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3),
+                      st.sampled_from(_NOT_LETTERS).map(lambda o: [o]))
+    return st.lists(piece, min_size=min_size, max_size=5).map(
+        lambda ps: [l for p in ps for l in p])
+
+
+def test_decode_position_raises_only_typed_errors():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(_mixed_letters(st), st.data(), st.booleans(), st.booleans())
+    def check(ctx, data, left, right):
+        offset = data.draw(st.one_of(st.integers(-2, len(ctx) + 1), st.integers()))
+        try:
+            got = decode_position(ctx, offset, no_ones_left=left, no_ones_right=right)
+        except (DecodeError, AmbiguousContextError):
+            return
+        assert isinstance(got, GapPair) and all(isinstance(l, CodeLetter) for l in ctx)
+
+    check()
+
+
+def test_decode_sequence_raises_only_typed_errors():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(_mixed_letters(st), st.integers(-40, 40), _mixed_letters(st, 1),
+               _mixed_letters(st, 1))
+    def check(window, start, left, right):
+        u = SymbolSequence(window, start, left, right)
+        try:
+            got = decode_sequence(u)
+        except (DecodeError, AmbiguousContextError):
+            return
+        assert isinstance(got, BitSequence)
+        assert all(isinstance(l, CodeLetter) for l in u.window + u.left + u.right)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -1011,6 +1099,23 @@ def test_roof_prime_power_is_a_birkhoff_sum_of_value():
         dists = [min(km + j, kp - j) for j in range(step_length(GapPair(km, kp)))]
         want = math.fsum(g.g0 if d == 0 else g.value(d) for d in dists)
         assert roof_prime(BitSequence.from_ones([-km, kp]), f) == want
+
+
+def test_birkhoff_over_step_reads_the_roof_at_the_nearer_one():
+    # the summand before roof_between, f.value_at_gap(min(km + j, kp - j)), as the oracle
+    roofs = [RoofFunction.const(2.0)] + [RoofFunction.from_profile(g) for g in (
+        Harmonic(1.0), Power(0.5), LogHarmonic(), Geometric(0.05),
+        Truncated(Harmonic(1.0), 0.1))]
+    rng = random.Random(20261019)
+    pairs = [(rng.randrange(0, 3000), rng.randrange(1, 3000)) for _ in range(300)]
+    pairs += [(0, INF), (1, INF), (2000, INF), (INF, 1), (INF, 2), (INF, 2999)]
+    for f in roofs:
+        for km, kp in pairs:
+            for boundary in (ADJUSTED, PAPER):
+                step = step_length(GapPair(km, kp), boundary)
+                want = math.fsum(f.value_at_gap(min(km + j, kp - j)) for j in range(step))
+                got = cdc._birkhoff_over_step(km, kp, f, boundary)
+                assert float.hex(got) == float.hex(want), (f.spec(), km, kp, boundary)
 
 
 def test_roof_prime_positive_sampled():
