@@ -180,9 +180,9 @@ ONE_X = letter(1, "x")
 
 def parse_letter(text: str) -> CodeLetter:
     y, sep, z = text.strip().partition("^")
-    if not sep or len(y) != 1 or not y.isdecimal():
+    if not sep or len(y) != 1 or not "0" <= y <= "9":
         raise DecodeError("letter-format", f"expected y^z, got {text!r}")
-    zv = z if z == "x" else (int(z) if z.isdecimal() and len(z) == 1 else None)
+    zv = z if z == "x" else (int(z) if len(z) == 1 and "0" <= z <= "9" else None)
     if zv is None:
         raise DecodeError("letter-format", f"bad z coordinate in {text!r}")
     try:
@@ -254,15 +254,12 @@ def return_profile(gap: int, boundary: str = ADJUSTED) -> BlockProfile:
     return BlockProfile(gap, p, r, eps, word, tuple(offsets), tuple(regions))
 
 
-def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
-    """Walks of the accelerated shift across many blocks, run in lockstep.
+# the widest walk across a gap below 2^30 (r <= 29, then 29 halvings): 8 k- k+ < 2^60
+_ROW_MAX = 59
 
-    Returns int64 arrays (offsets, regions) with one row per gap: row i
-    holds ``return_profile(gaps[i]).offsets`` padded on the right with the
-    gap, and its ``regions`` padded with 0.  The walk takes about
-    2 log2(max gap) iterations whatever the number of gaps.  Gaps stay
-    below 2^30, so that 8 k- k+ <= 2 gap^2 fits in int64.
-    """
+
+def _walks(gaps, boundary: str) -> tuple:
+    """(offsets, regions, z1) of ``return_profiles``, without the words."""
     gaps = np.asarray(gaps, dtype=np.int64)
     if gaps.ndim != 1 or not gaps.size or gaps.min() < 1 or gaps.max() >= 1 << 30:
         raise ValueError("gaps must be a nonempty sequence of integers in 1..2^30-1")
@@ -276,7 +273,41 @@ def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
     if (o != gaps).any():
         raise AssertionError(f"orbit overshot the block: gap={gaps[o != gaps][0]}")
     offsets.append(o)
-    return np.stack(offsets, axis=1), np.stack(regions, axis=1)
+    offsets, regions = np.stack(offsets, axis=1), np.stack(regions, axis=1)
+    # z1 = gap - ceil(sqrt(8 k- k+)) at the step after the R3 visit r, where k- = 2^(r-1)
+    rows, r = np.arange(gaps.size), (regions == 3).argmax(axis=1)
+    z1 = gaps - ceil_sqrt_array(8 * (1 << np.maximum(r - 1, 0)) * (gaps - offsets[rows, r + 1]))
+    return offsets, regions, np.where((regions[rows, r] == 3) & (gaps > 2), z1, 0)
+
+
+def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
+    """Walks of the accelerated shift across many blocks, run in lockstep in
+    about 2 log2(max gap) steps: the batch twin of ``return_profile``.
+
+    Returns int64 arrays (offsets, regions, z1, words), one row per gap: its
+    ``offsets`` padded on the right with the gap, its ``regions`` padded with
+    0, its word's z1 (0 where the walk skips R3), and its word as ALPHABET
+    indices padded with -1, the rows ``_decode_rows`` inverts.  The word is
+    all -1 where ``return_profile`` has none or raises on z1; a walk longer
+    than ``_ROW_MAX``, which only a broken region law takes below 2^30, leads
+    its word with the non-letter 24.  Gaps stay below 2^30, so that
+    8 k- k+ <= 2 gap^2 fits in int64.
+    """
+    offsets, regions, z1 = _walks(gaps, boundary)
+    gaps, is3, c = offsets[:, -1], regions == 3, np.arange(regions.shape[1])  # ends of the walks
+    p, r = np.count_nonzero(regions, axis=1), is3.argmax(axis=1)
+    coded = is3.any(axis=1) & (gaps > 2) & (z1 >= 0) & (z1 <= 4)
+    # z indexes (0, 1, 2, 3, 4, x): z1 leads, then x except in every other
+    # slot counted back from the end; slot c holds the parity of k+ at step
+    # q = (p - 3 + c) / 2 for r < q < p - 1.  Past the walk (region 0) the index is -1.
+    two_q = (p - 3)[:, None] + c
+    slot = coded[:, None] & (two_q & 1 == 0) & (two_q > 2 * r[:, None]) & (c < p[:, None])
+    eps = (gaps[:, None] - np.take_along_axis(offsets, np.clip(two_q >> 1, 0, c.size), 1)) & 1
+    z = np.where(slot, eps, np.where(c == 0, np.where(coded, z1, 5)[:, None], 5))
+    worded = coded | (gaps <= 2)
+    words = np.where(worded[:, None], (regions - 1) * 6 + z, -1)[:, :_ROW_MAX]
+    words[worded & (p > _ROW_MAX), 0] = len(ALPHABET)
+    return offsets, regions, z1, words
 
 
 def encode_block(gap: int, boundary: str = ADJUSTED) -> tuple:
@@ -365,10 +396,6 @@ def _in_image(gap, km, kp):
     the block of ``gap`` (ints or int64 arrays).  The adjusted law decides
     it for both boundaries: the verbatim code is the adjusted one without 2^j."""
     return (km < gap - km) & (gap - km <= 3 * km) & (gap * gap // (8 * km) == kp)
-
-
-# the widest walk across a gap below 2^30 (r <= 29, then 29 halvings): 8 k- k+ < 2^60
-_ROW_MAX = 59
 
 
 def _decode_rows(rows) -> np.ndarray:

@@ -229,15 +229,8 @@ def sft_entropy_wordcount(allowed_two_letter_words, n: int) -> EntropyReport:
     count = word_count(words, n)
     if count == 0:
         return EntropyReport(0.0, "word_count", flags=("empty-language",))
-    # exact integer count; log via lgamma-free route adequate for any size
-    return EntropyReport(_log_int(count) / n, "word_count")
-
-
-def _log_int(n: int) -> float:
-    if n.bit_length() <= 900:
-        return math.log(n)
-    shift = n.bit_length() - 900
-    return math.log(n >> shift) + shift * math.log(2.0)
+    # exact integer count; math.log takes ints of any size
+    return EntropyReport(math.log(count) / n, "word_count")
 
 
 def sex_entropy_formula(measure: FlowMeasureSpec, l: float, h_of_base_part: float) -> float:

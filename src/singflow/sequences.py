@@ -11,6 +11,7 @@ is of this shape, so equality, shifts and coordinate lookups are exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 INF = math.inf
@@ -313,10 +314,9 @@ def parse_sequence_literal(text: str) -> BitSequence:
     start = 0
     if "@" in body:
         body, _, tail = body.rpartition("@")
-        try:
-            start = int(tail.strip())
-        except ValueError:
-            raise SequenceFormatError(f"START must be an integer, got {tail!r}") from None
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", tail):
+            raise SequenceFormatError(f"START must be an integer, got {tail!r}")
+        start = int(tail)
     parts = body.split("|")
     if len(parts) != 3:
         raise SequenceFormatError("literal must have the form LEFT|WORD|RIGHT[@START]")

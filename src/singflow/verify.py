@@ -1,10 +1,12 @@
 """Exhaustive structural suites of the accelerated-shift block codec.
 
 Each suite maps (gap_max, kplus_max, boundary) to (ok, detail).  The suites
-run on whole arrays, through the batch law ``codec.region_steps`` and the
-lockstep walks ``codec.return_profiles``, in chunks of about ``_CHUNK``
-elements so memory stays flat.  A failure names the first failing pair or
-gap of a plain loop over the range, checks taken in the documented order.
+run on whole arrays, in chunks of about ``_CHUNK`` elements so memory stays
+flat.  The codec computes everything the code defines: the batch law
+``codec.region_steps``, and the lockstep walks ``codec.return_profiles`` with
+each gap's z1 and code word; the suites hold only their checks and messages.
+A failure names the first failing pair or gap of a plain loop over the
+range, checks taken in the documented order.
 """
 
 from __future__ import annotations
@@ -20,34 +22,12 @@ from .sequences import GapPair
 _CHUNK = 1 << 15
 
 
-def _ranges(lo: int, hi: int, width: int):
-    """lo..hi as consecutive int64 arrays of about _CHUNK // width items."""
-    size = max(1, _CHUNK // max(width, 1))
+def _ranges(lo: int, hi: int, width: int = 0):
+    """lo..hi as consecutive int64 arrays of about _CHUNK // width items; the
+    default width is that of a block walk, at most about 2 log2(gap) + 2 steps."""
+    size = max(1, _CHUNK // (width or 2 * max(hi, 1).bit_length() + 2))
     for a in range(lo, hi + 1, size):
         yield np.arange(a, min(a + size, hi + 1), dtype=np.int64)
-
-
-class _Walks:
-    """Lockstep walks across a chunk of gaps.  Per gap: the return time p,
-    the first R3 index r (0 if none), whether its word has a z1 letter
-    (``coded``) and z1; per offset: k+."""
-
-    def __init__(self, gaps, boundary: str):
-        self.gaps = gaps
-        self.offsets, self.regions = cdc.return_profiles(gaps, boundary)
-        is3 = self.regions == 3
-        self.p, self.has3, self.r = np.count_nonzero(self.regions, axis=1), \
-            is3.any(axis=1), is3.argmax(axis=1)
-        self.kp = gaps[:, None] - self.offsets
-        self.coded = self.has3 & (gaps > 2)
-        nxt = np.take_along_axis(self.kp, np.minimum(self.r + 1, is3.shape[1])[:, None], 1)
-        self.z1 = gaps - ceil_sqrt_array(8 * (1 << np.maximum(self.r - 1, 0)) * nxt[:, 0])
-        self.z1_bad = self.coded & ((self.z1 < 0) | (self.z1 > 4))
-
-    @classmethod
-    def chunks(cls, lo: int, hi: int, boundary: str):
-        # a block walk takes at most about 2 log2(gap) + 2 steps
-        return (cls(g, boundary) for g in _ranges(lo, hi, 2 * max(hi, 1).bit_length() + 2))
 
 
 def region_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
@@ -75,28 +55,32 @@ def fr_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
     its parity expansion at steps q > r, and the return-time bound
     2r >= p-3."""
     bad = []
-    for wk in _Walks.chunks(3, gap_max, boundary):
-        bad += wk.gaps[~wk.has3].tolist()
-        p, r, kp = wk.p, wk.r, wk.kp
-        n, w = wk.regions.shape
+    for gaps in _ranges(3, gap_max):
+        offsets, regions, z1 = cdc._walks(gaps, boundary)
+        is3 = regions == 3
+        has3, p, r = is3.any(axis=1), np.count_nonzero(regions, axis=1), is3.argmax(axis=1)
+        bad += gaps[~has3].tolist()
+        kp = gaps[:, None] - offsets
+        n, w = regions.shape
         t, pc, rc = np.arange(w), p[:, None], r[:, None]
         pattern = np.where(t == 0, 1, np.where(t < rc, 2, np.where(t == rc, 3, 4)))
-        pattern_bad = ((wk.regions != pattern) & (t < pc)).any(axis=1)
-        doubling = (t >= 1) & (t <= rc) & (wk.offsets[:, :w] != 1 << np.maximum(t - 1, 0))
+        pattern_bad = ((regions != pattern) & (t < pc)).any(axis=1)
+        doubling = (t >= 1) & (t <= rc) & (offsets[:, :w] != 1 << np.maximum(t - 1, 0))
         # k+ at step q must be 2^(p-1-q) + sum_i eps[q+i] 2^i, built from q = p-1 down
         parity, val = np.zeros((n, w), dtype=bool), np.zeros(n, dtype=np.int64)
         for q in range(w - 1, 0, -1):
             val = np.where(q == p - 1, 1, 2 * val + (kp[:, q] & 1))
             parity[:, q] = (q > r) & (q < p) & (kp[:, q] != val)
-        failed = wk.has3 & (pattern_bad | doubling.any(axis=1) | parity.any(axis=1)
-                            | (2 * r < p - 3)) | wk.z1_bad
+        z1_bad = (z1 < 0) | (z1 > 4)
+        failed = has3 & (pattern_bad | doubling.any(axis=1) | parity.any(axis=1)
+                         | (2 * r < p - 3)) | z1_bad
         if failed.any():
             i = failed.argmax()
-            gap = wk.gaps[i]
-            if wk.z1_bad[i]:
-                return False, f"gap {gap}: z1 out of range ({wk.z1[i]})"
+            gap = gaps[i]
+            if z1_bad[i]:
+                return False, f"gap {gap}: z1 out of range ({z1[i]})"
             if pattern_bad[i]:
-                return False, f"gap {gap}: region pattern {tuple(wk.regions[i, :p[i]].tolist())}"
+                return False, f"gap {gap}: region pattern {tuple(regions[i, :p[i]].tolist())}"
             if doubling[i].any():
                 return False, f"gap {gap}: doubling broken at step {doubling[i].argmax()}"
             if parity[i].any():
@@ -146,28 +130,21 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
 
 def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
     """The row kernel ``codec._decode_rows``, the independent inverse whose
-    test oracle is the scalar ``decode_word``, maps the words of a chunk of
-    gaps, assembled from the lockstep walks, back to the gaps, for 1..gap_max;
-    under the verbatim boundary exactly the powers of two >= 4 have no word.
+    test oracle is the scalar ``decode_word``, maps the code words of the
+    lockstep walks back to their gaps, for 1..gap_max; under the verbatim
+    boundary exactly the powers of two >= 4 have no word.
     decode(word(g)) == g for every g already makes the words distinct."""
     anomalies = []
-    for wk in _Walks.chunks(1, gap_max, boundary):
-        # z indexes (0, 1, 2, 3, 4, x): z1 first, then x except in every other
-        # slot counted back from the end, which holds the parity of k+ at
-        # step (p - 3 + slot) / 2; past the walk the index is -1
-        c, p, r = np.arange(wk.regions.shape[1]), wk.p[:, None], wk.r[:, None]
-        slots = wk.coded[:, None] & (c < p) & ((p - 1 - c) % 2 == 0) & (c >= 2 * r + 5 - p)
-        eps = np.take_along_axis(wk.kp, np.clip((p - 3 + c) // 2, 0, c.size), 1) & 1
-        z = np.where(slots, eps, np.where(c == 0, np.where(wk.coded, wk.z1, 5)[:, None], 5))
-        encodable = wk.coded | (wk.gaps <= 2)
-        anomalies += wk.gaps[~encodable].tolist()
-        # a walk wider than the kernel's rows is no code word's
-        back = cdc._decode_rows(((wk.regions - 1) * 6 + z)[:, :cdc._ROW_MAX])
-        failed = encodable & (wk.z1_bad | (back != wk.gaps) | (wk.p > cdc._ROW_MAX))
+    for gaps in _ranges(1, gap_max):
+        _, _, z1, words = cdc.return_profiles(gaps, boundary)
+        z1_bad = (z1 < 0) | (z1 > 4)
+        worded = words[:, 0] != -1
+        anomalies += gaps[~worded].tolist()
+        failed = z1_bad | worded & (cdc._decode_rows(words) != gaps)
         if failed.any():
             i = failed.argmax()
-            return False, (f"gap {wk.gaps[i]}: z1 out of range ({wk.z1[i]})" if wk.z1_bad[i]
-                           else f"roundtrip failed at gap {wk.gaps[i]}")
+            return False, (f"gap {gaps[i]}: z1 out of range ({z1[i]})" if z1_bad[i]
+                           else f"roundtrip failed at gap {gaps[i]}")
     if boundary == cdc.ADJUSTED:
         if anomalies:
             return False, f"unexpected unencodable gaps {anomalies[:8]}"

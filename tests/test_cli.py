@@ -142,6 +142,9 @@ def test_report_command(tmp_path):
 def test_bad_roof_spec_exits_nonzero(capsys):
     code, _, err = run_cli(["entropy-scan", "--roof", "nope:1"], capsys)
     assert code == 2 and "error:" in err
+    # a well-formed roof the scan cannot use: a constant one
+    code, out, err = run_cli(["entropy-scan", "--roof", "const:1", "--grid", "1e-3"], capsys)
+    assert (code, out, err) == (2, "", "error: entropy scans need a gap-profile roof\n")
 
 
 def test_run_config_entrypoint(tmp_path):

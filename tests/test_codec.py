@@ -210,6 +210,18 @@ def test_parse_letter_rejects_a_superscript_digit_as_a_format_error(text):
     assert err.value.constraint == "letter-format"
 
 
+@pytest.mark.parametrize("text, constraint", [
+    ("\u0663^0", "letter-format"),   # Arabic-Indic three
+    ("1^\u0663", "letter-format"),
+    ("\uff11^x", "letter-format"),   # fullwidth one
+    ("5^0", "letter-alphabet"),
+])
+def test_parse_word_reads_only_ascii_digits(text, constraint):
+    with pytest.raises(DecodeError) as err:
+        parse_word(text)
+    assert err.value.constraint == constraint
+
+
 def test_parse_word_raises_only_decode_errors():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

@@ -219,6 +219,8 @@ def test_fiber_sft_entropy():
     first, second = fiber_sfts()
     assert sft_entropy_wordcount(first, 40).value == pytest.approx(LOG2 / 2, abs=1e-15)
     assert sft_entropy_wordcount(second, 40).value == pytest.approx(LOG2 / 2, abs=1e-15)
+    # 2^2000 words of length 4000: a count far wider than a double's exponent range
+    assert sft_entropy_wordcount(first, 4000).value == pytest.approx(LOG2 / 2, abs=1e-15)
 
 
 def test_sft_entropy_wordcount_reads_its_generators_once():

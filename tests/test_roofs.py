@@ -50,6 +50,10 @@ def test_admissibility_by_family():
     assert admissibility_check(LogHarmonic()) == ADMISSIBLE
     assert admissibility_check(Table([0.5, 0.25], tail=Geometric(0.5))) == INADMISSIBLE
     assert admissibility_check(ZeroProfile()) == INADMISSIBLE
+    # a truncation is admissible when k*g(k) keeps a positive limit or the base diverges
+    assert admissibility_check(parse_roof_spec("trunc:1:power:2").profile) == INADMISSIBLE
+    assert admissibility_check(parse_roof_spec("trunc:2:power:0.5").profile) == ADMISSIBLE
+    assert admissibility_check(parse_roof_spec("trunc:0.3:logharmonic").profile) == ADMISSIBLE
 
 
 def test_untagged_table_refused():
@@ -132,6 +136,11 @@ def test_roof_function_validation():
         RoofFunction()
     with pytest.raises(TypeError):
         Truncated(Geometric(0.5), 1.0)
+    # a table base needs k*g(k) monotone over its entries, rising or falling
+    Truncated(Table([0.9, 0.8, 0.7], tail=Harmonic(1.0)), 1.0)
+    Truncated(Table([1.0, 0.4, 0.2], tail=Power(2.0)), 1.0)
+    with pytest.raises(TypeError, match="monotone"):
+        Truncated(Table([1.0, 0.2, 0.5], tail=Harmonic(1.0)), 1.0)
 
 
 # ---------------------------------------------------------------------------

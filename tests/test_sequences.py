@@ -347,7 +347,8 @@ def test_literal_errors():
         parse_sequence_literal("0*|1")
 
 
-@pytest.mark.parametrize("text", ["0*|1|0*@x", "0*|1|0*@", "0*|1|0*@1.5", "0*|1|0*@ -"])
+@pytest.mark.parametrize("text", ["0*|1|0*@x", "0*|1|0*@", "0*|1|0*@1.5", "0*|1|0*@ -",
+                                  "0*|1|0*@1_0", "0*|1|0*@\u0663"])
 def test_literal_malformed_start_is_typed(text):
     with pytest.raises(SequenceFormatError):
         parse_sequence_literal(text)

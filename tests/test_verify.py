@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from singflow import ADJUSTED, PAPER, return_profile
+from singflow import ADJUSTED, ALPHABET, PAPER, return_profile
 from singflow import codec as cdc
 from singflow.cli import main
 from singflow.verify import SUITES, ceil_sqrt_array
+
+INDEX = {l: i for i, l in enumerate(ALPHABET)}
 
 
 def reference_law(km: int, kp: int, boundary: str) -> tuple:
@@ -45,14 +47,18 @@ def test_region_steps_holds_a_finished_walk_in_place():
 @pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
 def test_return_profiles_match_return_profile(boundary):
     top = 20000
-    offsets, regions = cdc.return_profiles(range(1, top + 1), boundary)
-    for gap, row_o, row_r in zip(range(1, top + 1), offsets.tolist(), regions.tolist()):
+    offsets, regions, z1, words = cdc.return_profiles(range(1, top + 1), boundary)
+    rows = zip(range(1, top + 1), offsets.tolist(), regions.tolist(), z1.tolist(), words.tolist())
+    for gap, row_o, row_r, z, row_w in rows:
         prof = return_profile(gap, boundary)
         p = prof.p
         assert tuple(row_o[:p + 1]) == prof.offsets
         assert tuple(row_r[:p]) == prof.regions
         assert set(row_o[p + 1:]) <= {gap} and set(row_r[p:]) <= {0}
         assert (row_r.index(3) if 3 in row_r else None) == prof.r
+        word = [INDEX[l] for l in prof.word or ()]
+        assert row_w == word + [-1] * (len(row_w) - len(word))
+        assert z == (0 if prof.r is None else prof.word[0].z)
 
 
 def test_return_profiles_rejects_bad_gaps():
