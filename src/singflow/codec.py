@@ -294,7 +294,8 @@ def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
     8 k- k+ <= 2 gap^2 fits in int64.
     """
     offsets, regions, z1 = _walks(gaps, boundary)
-    gaps, is3, c = offsets[:, -1], regions == 3, np.arange(regions.shape[1])  # ends of the walks
+    gaps = offsets[:, -1]  # each walk ends at its gap
+    is3, c = regions == 3, np.arange(regions.shape[1])
     p, r = np.count_nonzero(regions, axis=1), is3.argmax(axis=1)
     coded = is3.any(axis=1) & (gaps > 2) & (z1 >= 0) & (z1 <= 4)
     # z indexes (0, 1, 2, 3, 4, x): z1 leads, then x except in every other
