@@ -31,21 +31,32 @@ from .suspension import (FlowResourceError, UnitPoint, bw_distance_upper, flow,
 from .verify import SUITES
 
 
+class GridSpecError(ValueError):
+    """Malformed lambda grid specification."""
+
+
 def parse_grid(spec: str) -> list:
-    """Grid syntax: 'A..B' sweeps decades from A down to B, or a comma list."""
+    """Grid syntax: 'A..B' sweeps decades from A down to B, or a comma list.
+    Anything but a nonempty list of lambdas in (0, 1) raises GridSpecError."""
     spec = spec.strip()
+    try:
+        grid = [float(t) for t in (spec.split("..", 1) if ".." in spec else spec.split(","))]
+    except ValueError:
+        raise GridSpecError(f"bad grid {spec!r}: every lambda must be a number") from None
     if ".." in spec:
-        a, b = (float(t) for t in spec.split("..", 1))
+        a, b = grid
         if not (0 < a < math.inf and 0 < b < math.inf):
-            raise ValueError("decade sweeps need finite positive endpoints")
+            raise GridSpecError("decade sweeps need finite positive endpoints")
         ea, eb = math.log10(a), math.log10(b)
         if abs(ea - round(ea)) > 1e-9 or abs(eb - round(eb)) > 1e-9:
-            raise ValueError("decade sweeps need powers of ten")
+            raise GridSpecError("decade sweeps need powers of ten")
         ea, eb = int(round(ea)), int(round(eb))
         if eb > ea:
-            raise ValueError("sweep must decrease")
-        return [10.0 ** e for e in range(ea, eb - 1, -1)]
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+            raise GridSpecError("sweep must decrease")
+        grid = [10.0 ** e for e in range(ea, eb - 1, -1)]
+    if not all(0 < lam < 1 for lam in grid):
+        raise GridSpecError(f"bad grid {spec!r}: every lambda must lie in (0, 1)")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ defined iff the series sum_k g(k) diverges.
 
 Bernoulli-measure series for these profiles are evaluated with mpmath so
 that parameters as small as 1e-12 keep full accuracy; closed forms are used
-wherever a family has one.  Every series runs under its own local precision
+wherever a family has one, and the log-harmonic tail integral runs on fixed
+Gauss-Legendre panels.  Every series runs under its own local precision
 (``mp.workdps``) and never changes mpmath's global context, and each can
 return a derived bound on its error next to its value.
 """
@@ -91,15 +92,18 @@ def _head_swap(head, profile: "GapProfile", lam) -> tuple:
     return value, bound + _rounding(magnitude, 2 * m + 4) + _rounding(value, 1)
 
 
-def _log_harmonic_derivatives(c, n: int, order: int) -> list:
-    """Taylor coefficients at t = n, up to h^order, of the log-harmonic term
-    e^{-ct}/(t log t): the product of the series of e^{-c(n+h)}, 1/(n+h) and
-    1/log(n+h) = 1/(log n + sum_m (-1)^{m+1} (h/n)^m / m).  The m-th
-    derivative at n is m! times the m-th coefficient."""
-    decay = [mp.exp(-c * n)]
+def _times(a: list, b: list) -> list:
+    """Taylor coefficients of the product of two series of one length."""
+    return [mp.fdot(a[:m + 1], b[m::-1]) for m in range(len(a))]
+
+
+@functools.cache
+def _log_harmonic_factor(n: int, order: int, prec: int) -> list:
+    """Taylor coefficients at t = n, up to h^order, of 1/(t log t) at
+    ``prec`` bits, made on first use: the product of the series of 1/(n+h)
+    and 1/log(n+h) = 1/(log n + sum_m (-1)^{m+1} (h/n)^m / m)."""
     inverse = [mp.mpf(1) / n]
     for m in range(1, order + 1):
-        decay.append(decay[-1] * -c / m)
         inverse.append(inverse[-1] / -n)
     log_n = mp.log(n)
     # log(n+h) - log n: coefficient m at index m-1 is -n * inverse[m] / m
@@ -107,26 +111,58 @@ def _log_harmonic_derivatives(c, n: int, order: int) -> list:
     reciprocal = [1 / log_n]
     for m in range(1, order + 1):
         reciprocal.append(-mp.fdot(log_tail[:m], reciprocal[m - 1::-1]) / log_n)
+    return _times(inverse, reciprocal)
 
-    def times(a, b):
-        return [mp.fdot(a[:m + 1], b[m::-1]) for m in range(order + 1)]
-    return times(decay, times(inverse, reciprocal))
+
+def _log_harmonic_derivatives(c, n: int, order: int) -> list:
+    """Taylor coefficients at t = n, up to h^order, of the log-harmonic term
+    e^{-ct}/(t log t): the series of e^{-c(n+h)} times that of 1/(t log t).
+    The m-th derivative at n is m! times the m-th coefficient."""
+    decay = [mp.exp(-c * n)]
+    for m in range(1, order + 1):
+        decay.append(decay[-1] * -c / m)
+    return _times(decay, _log_harmonic_factor(n, order, mp.mp.prec))
+
+
+# g(k) of the log-harmonic profile for 1 <= k < n at a given precision, on first use
+_log_harmonic_head = functools.cache(lambda n, prec: [mp.mpf(LOG_HARMONIC_AT_ONE)] + [
+    1 / (k * mp.log(k)) for k in range(2, n)])
+
+
+_GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)  # keeps its nodes, made on first use
+# (offset d from the centre, weight, e^d) of the 24 nodes on a panel, per width and precision
+_gauss_panel = functools.cache(lambda width, prec: [
+    (d, w, mp.exp(d)) for d, w in _GAUSS.get_nodes(-width / 2, width / 2, 4, prec)])
 
 
 def _log_harmonic_integral(c, n: int) -> tuple:
-    """(value, bound) of the integral of e^{-ct}/(t log t) over [n, inf).
-    After t = e^u it is the integral of e^{-c e^u}/u, whose knee c e^u = 1
-    sits at u0 = log(1/c); quad runs on finite breakpoints around it (an
-    infinite endpoint on this integrand can stall quad for minutes), and the
-    part beyond the last point U is below E1(c e^U)/U < e^{-c e^U}/(c e^U U)."""
-    lo = mp.log(n)
-    u0 = -mp.log(c)
-    points = [lo] + [u for u in (u0 - 3, u0, u0 + 2, u0 + 6) if u > lo]
-    value = error = mp.mpf(0)
-    if len(points) > 1:
-        value, error = mp.quad(lambda u: mp.exp(-c * mp.exp(u)) / u, points, error=True)
-    top = c * mp.exp(points[-1])
-    return value, error + mp.exp(-top) / (top * points[-1])
+    """(value, truncation bound, rounding bound) of the integral of
+    e^{-ct}/(t log t) over [n, inf), n >= 64: of f(u) = e^{-c e^u}/u from
+    log n, with its knee c e^u = 1 at u0 = log(1/c).  24-point Gauss-Legendre
+    panels run past u0 + 4.5, 1.25 wide at the knee and 1.25 * 2^j left of it,
+    at most their distance to the pole u = 0 and half that to the knee.  The
+    rule on [m-h, m+h] errs by at most (64/15) h M rho^-46/(rho^2-1), rho = 5
+    (Trefethen, SIAM Review 50, 2008, Thm 4.5), where on the Bernstein ellipse
+    Re u in m -+ 2.6h, |Im u| <= 2.4h, |1/u| <= 1/(m-2.6h) and |e^{-c e^u}|
+    is at most 1 if 2.4h <= pi/2, else e^{c e^(m+2.6h)}.  Past the last point
+    U the integral is below e^{-c e^U}/(c e^U U).  Rounding (README, "Bernoulli
+    series"): a panel sum s ending at b is good to eps s (9 + 4b (1 + c e^b))."""
+    lo, u0, prec = mp.log(n), -mp.log(c), mp.mp.prec
+    knee, offset, sums, truncation, rounding = float(u0), 0.0, [], 0, 0
+    while float(lo) + offset < knee + 4.5:
+        at, width = float(lo) + offset, 1.25
+        while 2 * width <= min(at, (knee - at) / 2):
+            width *= 2
+        h, m, b = width / 2, lo + (offset + width / 2), lo + (offset + width)
+        decay = -c * mp.exp(m)
+        s = mp.fdot((mp.exp(decay * e) / (m + d), w) for d, w, e in _gauss_panel(width, prec))
+        rounding += s * (9 + 4 * b * (1 + c * mp.exp(b)))
+        growth = 1 if 2.4 * h <= math.pi / 2 else mp.exp(c * mp.exp(m + 2.6 * h))
+        truncation += 64 / 15 * h * growth / (m - 2.6 * h) / (24 * 5 ** 46)
+        sums.append(s)
+        offset += width
+    top = c * mp.exp(lo + offset)
+    return mp.fsum(sums), truncation + mp.exp(-top) / (top * (lo + offset)), rounding * mp.eps
 
 
 def _one_minus_x(lam: mp.mpf) -> mp.mpf:
@@ -252,23 +288,23 @@ class LogHarmonic(GapProfile):
         for g(t) = x^t/(t log t) = e^{-ct}/(t log t).  g is completely
         monotone on t > 1 (a product of e^{-ct}, 1/t and 1/log t), so every
         even derivative is positive and R lies between 0 and the first
-        omitted correction, which is the tail's bound."""
+        omitted correction.  The bound adds that correction, the integral's
+        Gauss and rounding bounds and the rounding of the head and tail."""
         n, terms = self._HEAD, self._EM_TERMS
         x = (1 - lam) ** 2
         c = -2 * mp.log1p(-lam)
-        head = mp.mpf(LOG_HARMONIC_AT_ONE) * x
-        xk = x
-        for k in range(2, n):
-            xk *= x
-            head += xk / (k * mp.log(k))
+        powers = [x]
+        for _ in range(2, n):
+            powers.append(powers[-1] * x)
+        head = mp.fdot(powers, _log_harmonic_head(n, mp.mp.prec))
         coeffs = _log_harmonic_derivatives(c, n, 2 * terms + 1)
         # B_2j/(2j)! g^(2j-1)(N) = B_2j/(2j) times the (2j-1)-th coefficient
         tail = coeffs[0] / 2 - mp.fsum(mp.bernoulli(2 * j) / (2 * j) * coeffs[2 * j - 1]
                                        for j in range(1, terms + 1))
         omitted = abs(mp.bernoulli(2 * terms + 2) / (2 * terms + 2) * coeffs[2 * terms + 1])
-        integral, integral_bound = _log_harmonic_integral(c, n)
+        integral, truncation, rounding = _log_harmonic_integral(c, n)
         value = head + tail + integral
-        return value, omitted + integral_bound + _rounding(value, 4 * n)
+        return value, omitted + truncation + rounding + _rounding(value, 4 * n)
 
     def spec(self):
         return "logharmonic"
@@ -551,6 +587,8 @@ class RoofSpecError(ValueError):
 
 
 def parse_profile_spec(text: str) -> GapProfile:
+    if text.lower().count("trunc:") > 300:  # deeper, a roof would overrun Python's recursion limit
+        raise RoofSpecError("profile spec nests more than 300 truncations")
     parts = text.strip().split(":")
     head = parts[0].lower()
     try:
@@ -562,6 +600,8 @@ def parse_profile_spec(text: str) -> GapProfile:
             return LogHarmonic()
         if head == "trunc" and len(parts) >= 3:
             return Truncated(parse_profile_spec(":".join(parts[2:])), float(parts[1]))
+    except RoofSpecError:  # from the base, named there: not wrapped once per level
+        raise
     except ValueError as exc:
         raise RoofSpecError(f"bad profile spec {text!r}: {exc}") from exc
     raise RoofSpecError(f"unknown profile spec {text!r}")

@@ -10,7 +10,7 @@ import pytest
 
 from singflow import cli
 from singflow import codec as cdc
-from singflow.cli import main, parse_grid
+from singflow.cli import GridSpecError, main, parse_grid
 
 
 def run_cli(argv, capsys):
@@ -26,6 +26,32 @@ def test_parse_grid():
         parse_grid("1e-5..1e-3")
     with pytest.raises(ValueError):
         parse_grid("2e-3..1e-5")
+    assert issubclass(GridSpecError, ValueError)  # the CLI's exit-2 path catches ValueError
+    for spec in ("1e-3..x", "", " ", "nan", "inf", "0.5,2", "1e-3,,1e-4", "1e-3,", "1..1e-3",
+                 "1e-5..1e-3", "0..1e-3", "1e-3..1e-4..1e-5"):
+        with pytest.raises(GridSpecError):
+            parse_grid(spec)
+
+
+def test_parse_grid_yields_lambdas_or_grid_spec_errors():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    token = st.one_of(st.sampled_from(["1e-3", "1e-12", "0.5", "1", "0", "-0.1", "2", "nan",
+                                       "inf", "1e400", "1e-400", "", " ", "x", "1e-3..1e-5"]),
+                      st.text(alphabet="0123456789.e-+ ", max_size=6))
+    grid = st.lists(token, min_size=1, max_size=4).flatmap(
+        lambda toks: st.sampled_from([",", ".."]).map(lambda sep: sep.join(toks)))
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.one_of(st.text(max_size=20), grid))
+    def check(spec):
+        try:
+            lams = parse_grid(spec)
+        except GridSpecError:
+            return
+        assert lams and all(type(lam) is float and 0 < lam < 1 for lam in lams)
+
+    check()
 
 
 def test_codec_encode_golden(capsys):
@@ -244,10 +270,13 @@ def test_flow_resource_error_exits_two(capsys):
     (["entropy-scan", "--roof", "harmonic:1", "--grid", "inf..1e-3"], "finite"),
     (["report", "--grid", "1e400..1e-3"], "finite"),
     (["entropy-scan", "--roof", "harmonic:1", "--grid", "0..1e-3"], "positive"),
+    (["entropy-scan", "--roof", "harmonic:1", "--grid", "1e-3,,1e-4"], "bad grid"),
+    (["entropy-scan", "--roof", "trunc:1:" * 1200 + "harmonic:1", "--grid", "1e-3"],
+     "nests more than 300 truncations"),
     (["metric", "--samples", "-5"], "samples"),
     (["codec", "decode", "--word", "1^4 2^x 2^x 3^x 4^x 4^1"], "not-in-image"),
-], ids=["infinite-sweep", "overflowing-sweep", "zero-sweep", "negative-samples",
-        "word-outside-image"])
+], ids=["infinite-sweep", "overflowing-sweep", "zero-sweep", "empty-grid-token",
+        "deep-roof-spec", "negative-samples", "word-outside-image"])
 def test_bad_sizes_exit_two_and_write_nothing(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

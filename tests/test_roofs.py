@@ -13,6 +13,7 @@ from singflow import (ADMISSIBLE, INADMISSIBLE, BitSequence, ConstantProfile,
                       RoofSpecError, Table, Truncated, UntaggedTableError,
                       ZeroProfile, admissibility_check, flow_entropy_bernoulli,
                       parse_roof_spec, roof_eval)
+from singflow.roofs import _log_harmonic_integral
 
 
 def test_roof_eval_constant():
@@ -88,9 +89,14 @@ def test_roof_spec_language():
     assert isinstance(parse_roof_spec("logharmonic").profile, LogHarmonic)
     t = parse_roof_spec("trunc:2:power:0.5").profile
     assert isinstance(t, Truncated) and t.a == 2.0
-    for bad in ("const", "harmonic", "power:x", "nope:1"):
+    deep = "trunc:1:" * 300 + "harmonic:1"
+    assert parse_roof_spec(deep).spec() == deep
+    for bad in ("const", "harmonic", "power:x", "nope:1", "trunc:1:" * 1200 + "harmonic:1"):
         with pytest.raises(RoofSpecError):
             parse_roof_spec(bad)
+    # a nested error names the bad part once, not once per level
+    with pytest.raises(RoofSpecError, match=r"^unknown profile spec 'nope'$"):
+        parse_roof_spec("trunc:1:" * 300 + "nope")
 
 
 @pytest.mark.parametrize("spec", [
@@ -101,6 +107,25 @@ def test_roof_spec_language():
 def test_roof_spec_rejects_non_finite_parameters(spec):
     with pytest.raises(RoofSpecError):
         parse_roof_spec(spec)
+
+
+def test_parse_roof_spec_raises_only_roof_spec_errors():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    word = st.sampled_from(["const", "harmonic", "power", "logharmonic", "trunc", "TRUNC",
+                            "1", "0.5", "-2", "nan", "inf", "1e999", "x", "", " "])
+    spec = st.lists(word, min_size=1, max_size=8).map(":".join)
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.one_of(st.text(max_size=20), spec))
+    def check(text):
+        try:
+            roof = parse_roof_spec(text)
+        except RoofSpecError:
+            return
+        assert isinstance(roof, RoofFunction)
+
+    check()
 
 
 def brute_series(profile, lam, terms=60_000):
@@ -232,3 +257,42 @@ def test_log_harmonic_matches_the_sumem_oracle():
         for a in (0.3, 0.6):
             got = flow_entropy_bernoulli(lam, Truncated(LogHarmonic(), a)).value
             assert got == oracle_entropy(lam, truncated_from(series, lam, a)), (lam, a)
+
+
+def quad_log_harmonic_integral(c, n):
+    """Oracle: the log-harmonic integral as the library computed it before
+    its Gauss-Legendre panels, mp.quad on finite breakpoints around the knee
+    u0 = log(1/c), (value, bound) with quad's error estimate and the E1 bound
+    beyond the last point."""
+    lo = mp.log(n)
+    u0 = -mp.log(c)
+    points = [lo] + [u for u in (u0 - 3, u0, u0 + 2, u0 + 6) if u > lo]
+    value = error = mp.mpf(0)
+    if len(points) > 1:
+        value, error = mp.quad(lambda u: mp.exp(-c * mp.exp(u)) / u, points, error=True)
+    top = c * mp.exp(points[-1])
+    return value, error + mp.exp(-top) / (top * points[-1])
+
+
+@pytest.mark.parametrize("start", [64, 10 ** 3, 3 * 10 ** 4, 10 ** 6])
+def test_log_harmonic_integral_matches_the_quad_oracle(start):
+    for lam in (0.9, 0.5, 1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-17, 1e-50, 1e-100, 1e-300):
+        with mp.workdps(30):
+            c = -2 * mp.log1p(-mp.mpf(lam))
+            value, truncation, rounding = _log_harmonic_integral(c, start)
+            oracle, oracle_bound = quad_log_harmonic_integral(c, start)
+            assert abs(value - oracle) <= truncation + rounding + oracle_bound, (lam, start)
+            # the Gauss and tail part is below the rounding, or below one unit
+            assert truncation < max(rounding, mp.eps), (lam, start)
+        with mp.workdps(60):  # the same rule, so only the rounding differs
+            fine, _, fine_rounding = _log_harmonic_integral(c, start)
+            assert abs(value - fine) <= rounding + fine_rounding, (lam, start)
+
+
+def test_log_harmonic_quadrature_bound_is_below_the_series_rounding():
+    for lam in (0.9, 0.5, 1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-17, 1e-50, 1e-100, 1e-300):
+        value = LogHarmonic().bernoulli_series(lam)
+        with mp.workdps(30):
+            _, truncation, rounding = _log_harmonic_integral(-2 * mp.log1p(-mp.mpf(lam)), 64)
+            # the series adds the rounding of its 64-term head and tail, 4*64 units of its value
+            assert truncation < rounding + 4 * 64 * value * mp.eps, lam

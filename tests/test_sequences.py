@@ -354,6 +354,28 @@ def test_literal_malformed_start_is_typed(text):
         parse_sequence_literal(text)
 
 
+def test_parse_sequence_literal_raises_only_sequence_format_errors():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # literal shapes over the grammar's own characters, digits that are not
+    # ASCII (Arabic-Indic three, superscript two) and free text
+    part = st.text(alphabet="01()* \t\u0663\u00b2", max_size=6)
+    start = st.one_of(st.just(""), st.text(alphabet="+-0123456789 _.x\u0663", max_size=5)
+                      .map("@".__add__))
+    literal = st.tuples(part, part, part, start).map(lambda t: "|".join(t[:3]) + t[3])
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.one_of(st.text(max_size=20), literal))
+    def check(text):
+        try:
+            x = parse_sequence_literal(text)
+        except SequenceFormatError:
+            return
+        assert isinstance(x, BitSequence)
+
+    check()
+
+
 def _primitive_by_divisors(word):
     """Oracle for _primitive: the divisor-by-divisor search it replaced,
     kept as it was."""
