@@ -38,6 +38,8 @@ class GridSpecError(ValueError):
 def parse_grid(spec: str) -> list:
     """Grid syntax: 'A..B' sweeps decades from A down to B, or a comma list.
     Anything but a nonempty list of lambdas in (0, 1) raises GridSpecError."""
+    if not spec.isascii() or "_" in spec:  # float() reads other digits and underscores too
+        raise GridSpecError(f"bad grid {spec!r}: every lambda must be a number")
     spec = spec.strip()
     try:
         grid = [float(t) for t in (spec.split("..", 1) if ".." in spec else spec.split(","))]

@@ -23,7 +23,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 HEIGHT_TOL = 1e-9
-_CHUNK = 1024   # columns per comparison step of bw_distance_upper
+_CHUNK = 1024   # columns per comparison step of bw_distance_upper: (2n)^2 x _CHUNK for 2n slots
 MAX_CROSSINGS = 10 ** 6
 
 
@@ -194,11 +194,11 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     concatenate, so doubling the budget satisfies the relaxed triangle
     inequality.
 
-    Every base is x.shifted(j) for an endpoint base x and |j| <= window, so
-    each base and its image under the shift are slices of one bit row per
-    orbit, taken on coordinates -r..r: these hold 0 and the compare bound of
-    every pair, so equal slices mean equal sequences and the first mismatch
-    outward from 0 gives the distance.
+    Every base and its image under the shift is x.shifted(j) for an endpoint
+    base x and -window <= j <= window + 1, so each is a slot: the bytes of
+    one orbit's bit row on coordinates -r..r of the shift.  These hold 0 and
+    the compare bound of every pair, so equal slots mean equal sequences and
+    the first mismatch outward from 0 gives the distance.
     """
     if chain_budget < 2:
         raise ValueError("chain budget must be at least 2")
@@ -207,76 +207,59 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     if a == b:
         return 0.0
     ua, ub = norm_height(a, f), norm_height(b, f)
-    orbits = x, y = a.base, b.base
-    r = compare_radius(x, y, window + 1)
-    # row o holds orbits[o] on -r-window .. r+window+2, so base (o, j) is
-    # the slice at offset j + window and its image the slice one further
-    rows = [bytes(z.segment(-r - window, r + window + 3)) for z in orbits]
-    index: dict = {}   # bits of a base on coordinates -r..r+1 -> base index
-    origin: list = []  # (orbit, shift) of each base's first occurrence
-    zero: list = []    # whether the roof vanishes on base i, from the 1s around it
-    key = [[row[c:c + 2 * r + 2] for c in range(2 * window + 2)] for row in rows]
+    orbits = a.base, b.base
+    r = compare_radius(*orbits, window + 1)
+    # slot s = 2c + o is orbits[o].shifted(c - window) on -r..r and its image
+    # is slot s + 2: the base slots come first, then the two image-only slots
+    rows = [bytes(z.segment(-r - window, r + window + 2)) for z in orbits]
+    slots = [row[c:c + 2 * r + 1] for c in range(2 * window + 2) for row in rows]
+    ids: dict = {}
+    base = np.array([ids.setdefault(bits, len(ids)) for bits in slots])   # equal slots, one id
 
-    def base_index(o: int, j: int) -> int:
-        bits = key[o][j + window]
-        if bits not in index:
-            index[bits] = len(zero)
-            origin.append((o, j))
-            row, c = rows[o], j + window + r   # column c holds coordinate j
-            lo, hi = row.rfind(1, 0, c + 1), row.find(1, c + 1)
-            roof = roof_between(f, c, lo, hi) if min(lo, hi) >= 0 else roof_eval(f, orbits[o], j)
-            zero.append(roof == 0.0)
-        return index[bits]
-
-    # vertices (base index, normalized height) in first-insertion order
-    verts = dict.fromkeys([(base_index(0, 0), ua), (base_index(1, 0), ub)])
+    # vertices (base id, normalized height) -> a slot of the base, in first-insertion order
+    verts = {(base[2 * window], ua): 2 * window, (base[2 * window + 1], ub): 2 * window + 1}
     grid = sorted({0.0, ua, ub})
     for o in (0, 1):
         for j in range(-window, window + 1):
-            bi = base_index(o, j)
-            for u in ((0.0,) if zero[bi] else grid):
-                verts.setdefault((bi, u))
+            s = 2 * (j + window) + o
+            for u in ((0.0,) if roof_eval(f, orbits[o], j) == 0.0 else grid):
+                verts.setdefault((base[s], u), s)
 
-    nb = len(zero)
-    image = np.array([index.get(key[o][j + window + 1], -1) for o, j in origin])
-    succ = image[:, None] == np.arange(nb)   # image of base i is base j
-    # d[s, i, j] = d(T^s base_i, T^s base_j), s = 0, 1, from the first mismatch in |m|
-    # order (distinct bases and their images differ on -r..r), a chunk of columns at a
-    # time outward from 0, so the temporaries stay 2 x nb x nb x _CHUNK.
-    row_bits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(2, -1)
-    orb, shift = (np.array(c) for c in zip(*origin))
-    zero_col = (shift + window + r + np.arange(2)[:, None])[..., None]
-    d = np.zeros((2, nb, nb))
-    found = np.eye(nb, dtype=bool)   # pairs whose first mismatch is seen (2^-m may underflow)
+    # d[s, t] = d(slot s, slot t), from the first mismatch in |m| order, a chunk of
+    # columns at a time outward from 0, so the temporaries stay (2n)^2 x _CHUNK for
+    # the 2n = 4 window + 4 slots
+    bits = np.frombuffer(b"".join(slots), dtype=np.uint8).reshape(len(slots), -1)
+    d = np.zeros((len(slots), len(slots)))
+    found = base[:, None] == base   # pairs whose first mismatch is seen (2^-m may underflow)
     for k0 in range(0, 2 * r + 1, _CHUNK):
         k = np.arange(k0, min(k0 + _CHUNK, 2 * r + 1))
         m = (k + 1) >> 1   # coordinates 0, 1, -1, ..., r, -r
-        bits = row_bits[orb[:, None], zero_col + np.where(k & 1, m, -m)]
-        diff = bits[:, :, None] != bits[:, None]
+        col = bits[:, r + np.where(k & 1, m, -m)]
+        diff = col[:, None] != col
         hit = diff.any(-1)
         # 2^-m of a chunk's first mismatch exceeds that of any later chunk
         d = np.maximum(d, np.where(hit, np.ldexp(1.0, -m[diff.argmax(-1)]), 0.0))
-        found = found | hit
+        found |= hit
         if found.all():
             break
 
-    vb, vu = (np.array(c) for c in zip(*verts))
-    pair = vb[:, None] * nb + vb
+    vs, vu = np.array(list(verts.values())), np.array([u for _, u in verts])
+    vb = base[vs]
+    up_to = base[vs + 2][:, None] == vb   # the image of fiber i is fiber j
     ui, uj = vu[:, None], vu
     gap = np.abs(ui - uj)   # zero on the diagonal, which no edge undercuts
     up = 1.0 - ui + uj      # from fiber i up through the roof to fiber j
     # vertical: same fiber, or flowing up through the roof to the next one
     weight = np.where(vb[:, None] == vb, gap,
-                      np.where(succ.take(pair), up,
-                               np.where(succ.T.take(pair), up.T, math.inf)))
+                      np.where(up_to, up, np.where(up_to.T, up.T, math.inf)))
     u = 0.5 * (ui + uj)
-    horizontal = (1.0 - u) * d[0].take(pair) + u * d[1].take(pair)
+    horizontal = (1.0 - u) * d[vs[:, None], vs] + u * d[vs[:, None] + 2, vs + 2]
     weight = np.where((gap <= HEIGHT_TOL) & (horizontal < weight), horizontal, weight)
     # each pair is weighed with the lower vertex index first
-    weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
+    weight = np.where(np.tri(len(vs), k=-1, dtype=bool), weight.T, weight)
 
     # shortest path from a (index 0) using at most chain_budget-1 edges
-    dist = np.full(len(vb), math.inf)
+    dist = np.full(len(vs), math.inf)
     dist[0] = 0.0
     for _ in range(chain_budget - 1):
         new = (dist[:, None] + weight).min(0)  # the zero diagonal keeps dist

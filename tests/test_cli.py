@@ -28,7 +28,9 @@ def test_parse_grid():
         parse_grid("2e-3..1e-5")
     assert issubclass(GridSpecError, ValueError)  # the CLI's exit-2 path catches ValueError
     for spec in ("1e-3..x", "", " ", "nan", "inf", "0.5,2", "1e-3,,1e-4", "1e-3,", "1..1e-3",
-                 "1e-5..1e-3", "0..1e-3", "1e-3..1e-4..1e-5"):
+                 "1e-5..1e-3", "0..1e-3", "1e-3..1e-4..1e-5",
+                 # digits that are not ASCII, and underscores, which float() reads
+                 "\u0660.\u0665,1_0e-3", "1_0e-3", "\uff11e-3", "1e-3..1e-1_2"):
         with pytest.raises(GridSpecError):
             parse_grid(spec)
 
@@ -50,6 +52,7 @@ def test_parse_grid_yields_lambdas_or_grid_spec_errors():
         except GridSpecError:
             return
         assert lams and all(type(lam) is float and 0 < lam < 1 for lam in lams)
+        assert spec.isascii() and "_" not in spec
 
     check()
 

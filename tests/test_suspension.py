@@ -344,19 +344,44 @@ def test_bw_relaxed_triangle_by_concatenation():
 
 # ---------------------------------------------------------------------------
 # Scalar reference for the chain metric: the triple loop over explicit
-# shifted sequences, with coordinate-wise equality and distance.
+# shifted sequences, with coordinate-wise equality and distance.  Symbols
+# are read from the description by _at, not through SymbolSequence.at, whose
+# segment tiling also builds the bit rows of bw_distance_upper.
+
+def _at(x, n):
+    """x_n: the window, or a tail word repeated outward from its edge."""
+    end = x.start + len(x.window)
+    if n < x.start:
+        return x.left[(n - x.start) % len(x.left)]
+    if n >= end:
+        return x.right[(n - end) % len(x.right)]
+    return x.window[n - x.start]
+
+
+def test_at_reads_the_description_like_at():
+    seqs = [BitSequence.zero(), BitSequence.from_ones([0]), BitSequence.periodic((1, 0, 0)),
+            BitSequence((1, 1, 0, 1), -3, (0, 1), (1, 0, 0)),
+            BitSequence((0, 1), 5, (1,), (0, 0, 1, 1, 0))]
+    for x in seqs:
+        for y in (x, x.shifted(7), x.shifted(-2 ** 70), x.shifted(2 ** 70 + 3)):
+            end = y.start + len(y.window)
+            for n in [*range(y.start - 12, end + 12), *range(-2 ** 70 - 9, -2 ** 70 + 9),
+                      *range(2 ** 70 - 9, 2 ** 70 + 9)]:
+                assert _at(y, n) == y.at(n), (y, n)
+
 
 def _same(x, y):
     lo = min(x.start, y.start) - math.lcm(len(x.left), len(y.left))
-    hi = max(x.end, y.end) + math.lcm(len(x.right), len(y.right))
-    return all(x.at(n) == y.at(n) for n in range(lo, hi))
+    hi = max(x.start + len(x.window), y.start + len(y.window)) \
+        + math.lcm(len(x.right), len(y.right))
+    return all(_at(x, n) == _at(y, n) for n in range(lo, hi))
 
 
 def _distance(x, y):
     if _same(x, y):
         return 0.0
     m = 0
-    while x.at(m) == y.at(m) and x.at(-m) == y.at(-m):
+    while _at(x, m) == _at(y, m) and _at(x, -m) == _at(y, -m):
         m += 1
     return math.ldexp(1.0, -m)
 
@@ -484,6 +509,45 @@ def test_bw_distance_matches_scalar_reference_exactly():
                     (a, b, f.spec(), budget, window)
                 checked += 1
     assert checked >= 2000
+
+
+def test_bw_distance_matches_the_reference_at_window_zero():
+    rng = np.random.default_rng(47)
+    kinds = ("equal", "close-heights", "same-orbit", "singular-fiber", "periodic",
+             "far", "random")
+    checked = 0
+    for rep in range(36):
+        for f in METRIC_ROOFS:
+            for kind in kinds:
+                a, b = _metric_pair(rng, f, kind)
+                if rng.integers(0, 2):
+                    a, b = b, a
+                budget = 2 + checked % 11
+                got, want = bw_distance_upper(a, b, f, budget, 0), \
+                    reference_bw_distance_upper(a, b, f, budget, 0)
+                assert float.hex(got) == float.hex(want), (a, b, f.spec(), budget)
+                checked += 1
+    assert checked == 1008
+
+
+def test_bw_distance_matches_the_reference_when_a_base_is_the_other_s_image():
+    """b's base is a.base shifted by window + 1, or a's is b's: one endpoint base
+    lies one step past the other orbit's window, the image of its last base."""
+    rng = np.random.default_rng(53)
+    checked = 0
+    for window in range(4):
+        for f in ORACLE_ROOFS:
+            for sign in (1, -1):
+                x = random_point(rng, f).base
+                y = x.shifted(sign * (window + 1))
+                a = flow_point(f, x, float(rng.uniform(0.0, roof_eval(f, x))))
+                b = flow_point(f, y, float(rng.uniform(0.0, roof_eval(f, y))))
+                for budget in (2, 3, 5, 9):
+                    got = bw_distance_upper(a, b, f, budget, window)
+                    want = reference_bw_distance_upper(a, b, f, budget, window)
+                    assert float.hex(got) == float.hex(want), (a, b, f.spec(), budget, window)
+                    checked += 1
+    assert checked == 4 * len(ORACLE_ROOFS) * 2 * 4
 
 
 def test_bw_distance_zero_flags_match_the_reference_on_every_roof():
