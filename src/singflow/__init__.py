@@ -19,8 +19,8 @@ from .roofs import (ADMISSIBLE, INADMISSIBLE, ConstantProfile, GapProfile,
 from .suspension import (HORIZONTAL, VERTICAL, AdmissibleChain,
                          CanonicalHeightError, FlowPoint, FlowResourceError,
                          InadmissibleRoofError, PairKindError, UnitPoint,
-                         UnitRoofExtension, bw_distance_upper, flow,
-                         flow_point, flowpoints_close, norm_height,
+                         UnitRoofExtension, bw_distance_upper, bw_distances_upper,
+                         flow, flow_point, flowpoints_close, norm_height,
                          pair_length, singular_point, unit_roof_extension)
 from .entropy import (EntropyReport, FlowMeasureSpec, MeasureAtom, ScanResult,
                       abramov, flow_entropy_bernoulli, roof_integral_bernoulli,

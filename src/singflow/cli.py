@@ -26,8 +26,8 @@ from . import codec as cdc
 from . import entropy as ent
 from .roofs import Harmonic, ProfileResourceError, parse_roof_spec, roof_eval
 from .sequences import BitSequence
-from .suspension import (FlowResourceError, UnitPoint, bw_distance_upper, flow,
-                         flow_point, flowpoints_close, unit_roof_extension)
+from .suspension import (FlowResourceError, UnitPoint, bw_distance_upper, bw_distances_upper,
+                         flow, flow_point, flowpoints_close, unit_roof_extension)
 from .verify import SUITES
 
 
@@ -115,11 +115,11 @@ def _run_metric(args: argparse.Namespace, out) -> int:
         pa, pb, pc = point(x), point(x), point(z)
         dab = bw_distance_upper(pa, pb, f, m)
         dba = bw_distance_upper(pb, pa, f, m)
-        dac2 = bw_distance_upper(pa, pc, f, 2 * m)
+        dac2, dac_more, dac = bw_distances_upper(pa, pc, f, (2 * m, m + 2, m))
         dbc = bw_distance_upper(pb, pc, f, m)
         return (abs(dab - dba) <= 1e-12
                 and bw_distance_upper(pa, pa, f, m) == 0.0
-                and bw_distance_upper(pa, pc, f, m + 2) <= bw_distance_upper(pa, pc, f, m) + 1e-12
+                and dac_more <= dac + 1e-12
                 and dac2 <= dab + dbc + 1e-12)
 
     def equivariant():

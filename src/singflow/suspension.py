@@ -23,7 +23,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 HEIGHT_TOL = 1e-9
-_CHUNK = 1024   # columns per comparison step of bw_distance_upper: (2n)^2 x _CHUNK for 2n slots
+_CHUNK = 1024   # columns per comparison step of bw_distances_upper: (2n)^2 x _CHUNK for 2n slots
 MAX_CROSSINGS = 10 ** 6
 
 
@@ -189,10 +189,20 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     points whose intermediate bases lie on the two orbits' windows of radius
     ``window``, at normalized heights {0, u_a, u_b}.
 
-    This is an upper bound on the chain-infimum distance: symmetric, zero
-    exactly on the diagonal, nonincreasing in the budget, and chains
-    concatenate, so doubling the budget satisfies the relaxed triangle
-    inequality.
+    This is an upper bound on the chain-infimum distance: symmetric,
+    nonincreasing in the budget, and chains concatenate, so doubling the
+    budget satisfies the relaxed triangle inequality.  It is 0.0 on the
+    diagonal, and also for two points of one fiber whose normalized heights
+    differ by at most ``HEIGHT_TOL``: a horizontal pair of one base costs 0.
+    """
+    return bw_distances_upper(a, b, f, (chain_budget,), window)[0]
+
+
+def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
+                       budgets: tuple[int, ...], window: int = 3) -> tuple[float, ...]:
+    """``bw_distance_upper`` at each of ``budgets``, in order, from one chain
+    graph: the t-th relaxation is the distance over at most t edges, so
+    budget m reads the iterate that a call with budget m alone stops at.
 
     Every base and its image under the shift is x.shifted(j) for an endpoint
     base x and -window <= j <= window + 1, so each is a slot: the bytes of
@@ -200,13 +210,15 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     the compare bound of every pair, so equal slots mean equal sequences and
     the first mismatch outward from 0 gives the distance.
     """
-    if chain_budget < 2:
+    if not budgets:
+        raise ValueError("need at least one chain budget")
+    if min(budgets) < 2:
         raise ValueError("chain budget must be at least 2")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    if a == b:
-        return 0.0
     ua, ub = norm_height(a, f), norm_height(b, f)
+    if ua == ub and a.base == b.base:   # one vertex, at vertical length 0
+        return (0.0,) * len(budgets)
     orbits = a.base, b.base
     r = compare_radius(*orbits, window + 1)
     # slot s = 2c + o is orbits[o].shifted(c - window) on -r..r and its image
@@ -258,15 +270,17 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     # each pair is weighed with the lower vertex index first
     weight = np.where(np.tri(len(vs), k=-1, dtype=bool), weight.T, weight)
 
-    # shortest path from a (index 0) using at most chain_budget-1 edges
+    # shortest paths from a (index 0): reach[t] is b's over at most t edges
     dist = np.full(len(vs), math.inf)
     dist[0] = 0.0
-    for _ in range(chain_budget - 1):
+    reach = [math.inf]
+    for _ in range(max(budgets) - 1):
         new = (dist[:, None] + weight).min(0)  # the zero diagonal keeps dist
         if not (new < dist).any():  # a fixed point stays fixed
             break
         dist = new
-    return float(dist[1])
+        reach.append(float(dist[1]))
+    return tuple(reach[min(m, len(reach)) - 1] for m in budgets)
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,12 @@ def test_metric_seed_recorded(tmp_path):
         "flow-additivity      PASS  20 triples, 0 mismatches",
         "chain-metric         FAIL  symmetry/diagonal/budget/triangle, 10 mismatches",
         "unit-roof-extension  PASS  equivariance, 0 mismatches"]),
-], ids=["flowpoints_close", "bw_distance_upper"])
+    # more budget, a longer chain, yet too short to break the triangle check
+    ("bw_distances_upper", lambda a, b, f, budgets, *rest: tuple(1e-9 * k for k in budgets), [
+        "flow-additivity      PASS  20 triples, 0 mismatches",
+        "chain-metric         FAIL  symmetry/diagonal/budget/triangle, 10 mismatches",
+        "unit-roof-extension  PASS  equivariance, 0 mismatches"]),
+], ids=["flowpoints_close", "bw_distance_upper", "bw_distances_upper"])
 def test_metric_prints_fail_lines_and_exits_one(check, broken, lines, monkeypatch, capsys):
     monkeypatch.setattr(cli, check, broken)
     code, out, err = run_cli(["metric", "--samples", "20", "--seed", "3"], capsys)

@@ -7,10 +7,11 @@ import pytest
 from singflow import (HORIZONTAL, VERTICAL, AdmissibleChain, BitSequence,
                       CanonicalHeightError, FlowPoint, FlowResourceError,
                       Geometric, Harmonic, PairKindError, RoofFunction, UnitPoint,
-                      bw_distance_upper, flow, flow_point, flowpoints_close,
-                      norm_height, pair_length, parse_roof_spec,
+                      bw_distance_upper, bw_distances_upper, flow, flow_point,
+                      flowpoints_close, norm_height, pair_length, parse_roof_spec,
                       parse_sequence_literal, roof_eval, seq_distance, shift,
                       singular_point, unit_roof_extension)
+from singflow.suspension import HEIGHT_TOL
 
 HARM = RoofFunction.from_profile(Harmonic(1.0))
 UNIT = RoofFunction.const(1.0)
@@ -401,14 +402,13 @@ def reference_bw_distance_upper(a, b, f, chain_budget, window=3):
         bases.append(y)
         return len(bases) - 1
 
-    verts = []
+    # a and b are vertices 0 and 1 even when their (base, height) keys are equal
+    verts = [(base_index(a.base), ua), (base_index(b.base), ub)]
 
     def add(bi, u):
         if (bi, u) not in verts:
             verts.append((bi, u))
 
-    add(base_index(a.base), ua)
-    add(base_index(b.base), ub)
     grid = sorted({0.0, ua, ub})
     for endpoint in (a, b):
         for j in range(-window, window + 1):
@@ -604,6 +604,75 @@ def test_bw_distance_far_windows_match_reference_in_bounded_memory():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_bw_distance_is_zero_between_two_points_of_one_vertex():
+    """Two points of one fiber whose normalized heights round to one double
+    share a vertex of the chain graph; their distance is the vertical |ua - ub|."""
+    f, x = parse_roof_spec("const:3"), BitSequence.from_ones([0])
+    h = 1.6463962841644588
+    a, b = FlowPoint(x, h), FlowPoint(x, math.nextafter(h, 9))
+    assert a != b and norm_height(a, f) == norm_height(b, f)
+    for p, q in ((a, b), (b, a)):
+        assert bw_distances_upper(p, q, f, (2, 3, 6)) == (0.0, 0.0, 0.0)
+        for budget in (2, 3, 6):
+            assert bw_distance_upper(p, q, f, budget) == 0.0
+            assert reference_bw_distance_upper(p, q, f, budget) == 0.0
+
+
+def test_bw_distance_is_zero_within_the_height_tolerance_on_one_fiber():
+    """A horizontal pair of one base costs 0, so points of one fiber at
+    normalized heights within HEIGHT_TOL are at distance 0.0; further apart,
+    the distance is the vertical |ua - ub|."""
+    f, x = parse_roof_spec("const:3"), BitSequence.from_ones([0])
+    a = FlowPoint(x, 1.0)
+    for h in (math.nextafter(1.0, 9), 1.0 + 2e-9):
+        b = FlowPoint(x, h)
+        assert 0.0 < abs(norm_height(a, f) - norm_height(b, f)) <= HEIGHT_TOL
+        for budget in (2, 3, 6):
+            assert bw_distance_upper(a, b, f, budget) == 0.0
+            assert reference_bw_distance_upper(a, b, f, budget) == 0.0
+    b = FlowPoint(x, 1.0 + 3e-6)
+    gap = abs(norm_height(a, f) - norm_height(b, f))
+    assert gap > HEIGHT_TOL and bw_distance_upper(a, b, f, 6) == gap
+
+
+def test_bw_distances_match_fresh_calls_and_the_reference_at_every_budget():
+    """One graph answers every budget: each answer equals a fresh single-budget
+    call and the reference, bit for bit, whatever the order of the budgets."""
+    rng = np.random.default_rng(59)
+    kinds = ("equal", "close-heights", "same-orbit", "singular-fiber", "periodic",
+             "far", "random")
+    checked = 0
+    for f in METRIC_ROOFS:
+        for kind in kinds:
+            pair = _metric_pair(rng, f, kind)
+            for a, b in (pair, pair[::-1]):
+                window = 1 + checked % 3
+                budgets = tuple(int(m) for m in rng.permutation(np.r_[2:13, 2:13:3]))
+                want = {m: reference_bw_distance_upper(a, b, f, m, window) for m in range(2, 13)}
+                got = bw_distances_upper(a, b, f, budgets, window)
+                assert len(got) == len(budgets)
+                for m, d in zip(budgets, got):
+                    fresh = bw_distance_upper(a, b, f, m, window)
+                    assert float.hex(d) == float.hex(fresh) == float.hex(want[m]), \
+                        (a, b, f.spec(), kind, m, window)
+                checked += 1
+    assert checked == len(METRIC_ROOFS) * len(kinds) * 2
+
+
+def test_bw_distances_reject_empty_and_small_budgets():
+    x = parse_sequence_literal("0*|1011|0*")
+    a, b = FlowPoint(x, 0.0), FlowPoint(shift(x, 1), 0.0)
+    with pytest.raises(ValueError, match="at least one chain budget"):
+        bw_distances_upper(a, b, UNIT, ())
+    for budgets in ((1,), (4, 1), (0, 6)):
+        with pytest.raises(ValueError, match="chain budget must be at least 2"):
+            bw_distances_upper(a, b, UNIT, budgets)
+    with pytest.raises(ValueError, match="chain budget must be at least 2"):
+        bw_distance_upper(a, b, UNIT, 1)
+    with pytest.raises(ValueError, match="window must be nonnegative"):
+        bw_distances_upper(a, b, UNIT, (4,), -1)
 
 
 def test_unit_roof_extension_examples():
