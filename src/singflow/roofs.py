@@ -7,9 +7,11 @@ exactly at the all-zero sequence; the suspension over such a roof is well
 defined iff the series sum_k g(k) diverges.
 
 Bernoulli-measure series for these profiles are evaluated with mpmath so
-that parameters as small as 1e-12 keep full accuracy; closed forms are used
-wherever a family has one, and the log-harmonic tail integral runs on fixed
-Gauss-Legendre panels.  Every series runs under its own local precision
+that parameters far below 1e-12 keep full accuracy; closed forms are used
+wherever a family has one, the power series near x = 1 sums the expansion of
+the polylogarithm in c = -log x from zeta values kept per exponent, and the
+log-harmonic tail integral runs on fixed Gauss-Legendre panels.  Every
+series runs under its own local precision
 (``mp.workdps``) and never changes mpmath's global context, and each can
 return a derived bound on its error next to its value.
 """
@@ -34,8 +36,8 @@ LOG_HARMONIC_AT_ONE = 1.0 / math.log(2.0)
 MP_DPS = 40
 _LOG_HARMONIC_DPS = 30
 _MAX_EXPLICIT_TERMS = 10 ** 6
-# mpmath's closed forms (log, polylog) and the few operations around them
-# are each good to about an ulp; a generous count for all of them
+# mpmath's closed forms (log) and the few operations around them are each
+# good to about an ulp; a generous count for all of them
 _CLOSED_FORM_ULPS = 64
 
 
@@ -170,6 +172,66 @@ def _one_minus_x(lam: mp.mpf) -> mp.mpf:
     return lam * (2 - lam)
 
 
+@functools.lru_cache(maxsize=4096)
+def _zeta_term(alpha: float, k: int, prec: int) -> tuple:
+    """(zeta(alpha-k), a_k) at ``prec`` bits, made on first use.  For
+    s = k+1-alpha > 1 the functional equation gives |zeta(alpha-k)| <=
+    2 Gamma(s) zeta(s)/(2 pi)^s <= a_k = 2 Gamma(s) s/((s-1) (2 pi)^s), as
+    zeta(s) <= 1 + 1/(s-1); a_k is None for s <= 1."""
+    s = k + 1 - mp.mpf(alpha)
+    majorant = 2 * mp.gamma(s) * s / ((s - 1) * (2 * mp.pi) ** s) if s > 1 else None
+    return mp.zeta(1 - s), majorant
+
+
+@functools.lru_cache(maxsize=256)
+def _polylog_singular(alpha: float, prec: int):
+    """The lambda-free factor of the singular term of Li_alpha(e^-c) at
+    ``prec`` bits, made on first use: Gamma(1-alpha) for non-integer alpha,
+    else ((-1)^(n-1)/(n-1)!, H_(n-1)) for alpha = n."""
+    if alpha != int(alpha):
+        return mp.gamma(1 - mp.mpf(alpha))
+    n = int(alpha)
+    return (-1) ** (n - 1) / mp.factorial(n - 1), mp.harmonic(n - 1)
+
+
+def _polylog_near_one(alpha: float, c) -> tuple:
+    """(value, bound) of Li_alpha(e^-c) for 0 < c <= log(1/0.75) and alpha
+    other than 1, from the expansion around c = 0 (DLMF 25.12.12):
+    Gamma(1-alpha) c^(alpha-1) + sum_{k>=0} zeta(alpha-k) (-c)^k/k!, and for
+    alpha = n the singular term (-c)^(n-1)/(n-1)! (H_(n-1) - log c) in place
+    of the pole at k = n-1.  Past k > alpha every |term| is below its
+    majorant a_k c^k/k! (``_zeta_term``), and each majorant is at most c/2pi
+    times the one before, so the loop stops at the first majorant below eps
+    and bounds the rest by it over 1 - c/2pi.  The rounding: c = -2
+    log1p(-lam) is good to 2 units, so c^k/k! after k steps carries 4k,
+    zeta and the product 4 more; the singular term carries 2|alpha-1| + 5
+    (non-integer), or 3n + 4 on P c^(n-1) (H + |log c| + 2) (alpha = n)."""
+    prec = mp.mp.prec
+    if alpha != int(alpha):
+        singular = _polylog_singular(alpha, prec) * c ** (mp.mpf(alpha) - 1)
+        rounding = _rounding(singular, 2 * abs(alpha - 1) + 5)
+        pole = None
+    else:
+        pole = int(alpha) - 1
+        sign_factorial, harmonic = _polylog_singular(alpha, prec)
+        log_c, power = mp.log(c), sign_factorial * c ** pole
+        singular = power * (harmonic - log_c)
+        rounding = _rounding(power * (harmonic + abs(log_c) + 2), 3 * pole + 7)
+    terms, t, k = [], mp.mpf(1), 0  # t = (-c)^k/k!
+    while True:
+        if k != pole:
+            terms.append(_zeta_term(alpha, k, prec)[0] * t)
+        k += 1
+        t = t * -c / k
+        if k > alpha:
+            omitted = _zeta_term(alpha, k, prec)[1] * abs(t)
+            if omitted < mp.eps:
+                break
+    value = singular + mp.fsum(terms)
+    rounding += _rounding(mp.fsum(terms, absolute=True), 4 * k)
+    return value, omitted / (1 - c / (2 * mp.pi)) + rounding + _rounding(value, 1)
+
+
 class GapProfile:
     """Base class: positive values g(k) for k >= 1 tending to 0, plus the
     origin value g0."""
@@ -230,9 +292,9 @@ class Harmonic(GapProfile):
 
 
 class Power(GapProfile):
-    """g(k) = k^(-alpha)."""
+    """g(k) = k^(-alpha); its series is the polylogarithm Li_alpha(x)."""
 
-    series_kind = "closed_form"  # polylogarithm
+    series_kind = "closed_form"
 
     def __init__(self, alpha: float, g0: float = 1.0):
         if not 0 < alpha < INF:
@@ -253,8 +315,27 @@ class Power(GapProfile):
 
     @_series(MP_DPS)
     def bernoulli_series(self, lam):
+        """The polylogarithm Li_alpha(x), x = (1-lam)^2.  alpha = 1 is the
+        harmonic law -log(1-x).  Where mpmath sums the power series itself
+        (x <= 0.75, or x < 0.9 for non-integer alpha) ``mp.polylog`` does:
+        it stops at the first term below its eps, 10 guard bits below ours,
+        so the rest is under eps x/(1-x)/1024 and its at most ~960 terms
+        round to within an ulp; x's two roundings move the sum by at most
+        2 eps Li_(alpha-1)(x) <= 2 eps x/(1-x)^2.  For alpha - 1 >= prec/4
+        the first 16 terms leave at most 16^(1-alpha)/(alpha-1) < eps, each
+        term good to 3k + 3 units.  Otherwise ``_polylog_near_one`` sums
+        the expansion around x = 1 at c = -2 log1p(-lam), read exactly."""
+        alpha = self.alpha
+        if alpha == 1:
+            return _closed_form(-mp.log(_one_minus_x(lam)))
         x = (1 - lam) ** 2
-        return _closed_form(mp.polylog(mp.mpf(self.alpha), x))
+        if alpha - 1 >= mp.mp.prec / 4:
+            value = mp.fsum(x ** k * mp.mpf(k) ** -alpha for k in range(1, 17))
+            return value, _rounding(value, 52) + mp.eps
+        if x <= 0.75 or (alpha != int(alpha) and x < 0.9):
+            value = mp.polylog(alpha, x)
+            return value, _rounding(value, 2) + _rounding(x / _one_minus_x(lam) ** 2, 3)
+        return _polylog_near_one(alpha, -2 * mp.log1p(-lam))
 
     def spec(self):
         return f"power:{self.alpha:g}"

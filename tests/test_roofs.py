@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from singflow import (ADMISSIBLE, INADMISSIBLE, BitSequence, ConstantProfile,
                       RoofSpecError, Table, Truncated, UntaggedTableError,
                       ZeroProfile, admissibility_check, flow_entropy_bernoulli,
                       parse_roof_spec, roof_eval)
-from singflow.roofs import _log_harmonic_integral
+from singflow.roofs import _log_harmonic_integral, _polylog_singular, _zeta_term
 
 
 def test_roof_eval_constant():
@@ -172,7 +173,8 @@ def test_roof_function_validation():
 # precision, error bounds and the log-harmonic series
 
 FAMILIES = [
-    Harmonic(1.5), Power(0.5), Power(1.5), LogHarmonic(), Geometric(0.5, c=2.0),
+    Harmonic(1.5), Power(0.5), Power(1.0), Power(1.5), Power(2.0), Power(2.37),
+    LogHarmonic(), Geometric(0.5, c=2.0),
     ConstantProfile(0.7), ZeroProfile(), Table([0.9, 0.8, 0.7], tail=Power(0.5)),
     Truncated(Power(0.5), 2.0), Truncated(LogHarmonic(), 0.4),
 ]
@@ -296,3 +298,64 @@ def test_log_harmonic_quadrature_bound_is_below_the_series_rounding():
             _, truncation, rounding = _log_harmonic_integral(-2 * mp.log1p(-mp.mpf(lam)), 64)
             # the series adds the rounding of its 64-term head and tail, 4*64 units of its value
             assert truncation < rounding + 4 * 64 * value * mp.eps, lam
+
+
+# ---------------------------------------------------------------------------
+# the power series near x = 1
+
+def polylog_reference(alpha, lam):
+    """Oracle: Li_alpha(e^-c), c = -2 log1p(-lam), by mpmath at 60 digits
+    more than log10(1/lam), so that e^-c keeps about 60 digits of 1 - x."""
+    with mp.workdps(int(-math.log10(lam)) + 60):
+        c = -2 * mp.log1p(-mp.mpf(lam))
+        return mp.polylog(mp.mpf(alpha), mp.exp(-c))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0, 2.37, 40.5])
+def test_power_series_lies_within_its_bound_down_to_tiny_lambda(alpha):
+    # 0.5 to 0.04 reach mpmath's own power series and the expansion at
+    # x in (0.75, 0.9) for integer alpha; 40.5 sums its first 16 terms
+    for lam in (0.5, 0.1, 0.06, 0.04, 1e-3, 1e-20, 1e-30, 1e-38, 1e-45, 1e-100, 1e-300):
+        value, bound = Power(alpha).bernoulli_series(lam, with_bound=True)
+        reference = polylog_reference(alpha, lam)
+        assert abs(value - reference) <= bound, (alpha, lam)
+        assert bound < 1e-37 * reference, (alpha, lam)
+
+
+def test_power_entropy_stays_positive_at_tiny_lambda():
+    report = flow_entropy_bernoulli(1e-45, Power(0.5))
+    assert 0 < report.error_bound < 1e-14 * report.value
+
+
+def polylog_of_rounded_x(alpha, lam):
+    """Oracle: the power series as the library summed it before its
+    expansion near x = 1, mpmath's polylogarithm of the rounded
+    x = (1-lam)^2 at 40 digits."""
+    with mp.workdps(40):
+        return mp.polylog(mp.mpf(alpha), (1 - mp.mpf(lam)) ** 2)
+
+
+def test_power_series_matches_the_polylog_oracle_cold_and_warm():
+    """The doubles of the oracle for lam in [1e-12, 0.5], and one mpf
+    whatever the kept zeta values: each alpha runs first from empty caches,
+    then every pair runs again in shuffled order."""
+    rng = random.Random(1919)
+
+    def grid(n):
+        return [10 ** rng.uniform(-12, math.log10(0.5)) for _ in range(n)]
+
+    groups = [(rng.uniform(0.05, 4.0), grid(8)) for _ in range(200)]
+    groups += [(2.0, grid(200)), (3.0, grid(200))]
+    cold = {}
+    for alpha, lams in groups:
+        _zeta_term.cache_clear()
+        _polylog_singular.cache_clear()
+        for lam in lams:
+            cold[alpha, lam] = Power(alpha).bernoulli_series(lam)
+    pairs = list(cold)
+    assert len(pairs) == 2000
+    rng.shuffle(pairs)
+    for alpha, lam in pairs:
+        value = cold[alpha, lam]
+        assert Power(alpha).bernoulli_series(lam) == value, (alpha, lam)
+        assert float(value) == float(polylog_of_rounded_x(alpha, lam)), (alpha, lam)
