@@ -11,9 +11,9 @@ that parameters far below 1e-12 keep full accuracy; closed forms are used
 wherever a family has one, the power series near x = 1 sums the expansion of
 the polylogarithm in c = -log x from zeta values kept per exponent, and the
 log-harmonic tail integral runs on fixed Gauss-Legendre panels.  Every
-series runs under its own local precision
-(``mp.workdps``) and never changes mpmath's global context, and each can
-return a derived bound on its error next to its value.
+series runs under its own local precision (``mp.workdps``) and never changes
+mpmath's global context, and each can return a derived bound on its error
+next to its value.
 """
 
 from __future__ import annotations
