@@ -116,14 +116,25 @@ def _log_harmonic_factor(n: int, order: int, prec: int) -> list:
     return _times(inverse, reciprocal)
 
 
-def _log_harmonic_derivatives(c, n: int, order: int) -> list:
-    """Taylor coefficients at t = n, up to h^order, of the log-harmonic term
-    e^{-ct}/(t log t): the series of e^{-c(n+h)} times that of 1/(t log t).
-    The m-th derivative at n is m! times the m-th coefficient."""
-    decay = [mp.exp(-c * n)]
-    for m in range(1, order + 1):
-        decay.append(decay[-1] * -c / m)
-    return _times(decay, _log_harmonic_factor(n, order, mp.mp.prec))
+@functools.cache
+def _log_harmonic_tail(n: int, terms: int, prec: int) -> tuple:
+    """The Euler-Maclaurin corrections at t = n of e^{-ct}/(t log t) over
+    e^{-cn}, as two polynomials in y = -c (coefficients highest degree
+    first, for ``mp.polyval``) at ``prec`` bits, made on first use.  The
+    m-th Taylor coefficient of e^{-c(n+h)} F(n+h), F = 1/(t log t), is
+    e^{-cn} sum_i y^i/i! F_(m-i), so F(n)/2 - sum_{j<=terms} B_2j/(2j) times
+    coefficient 2j-1 and the first omitted correction, B_2J/(2J) times
+    coefficient 2J-1 with J = terms + 1, are polynomials in y with lambda-free
+    coefficients."""
+    factor = _log_harmonic_factor(n, 2 * terms + 1, prec)
+    beta = [None] + [mp.bernoulli(2 * j) / (2 * j) for j in range(1, terms + 2)]
+    corrections = [factor[0] / 2 if i == 0 else 0 for i in range(2 * terms)]
+    for j in range(1, terms + 1):
+        for i in range(2 * j):
+            corrections[i] -= beta[j] * factor[2 * j - 1 - i]
+    omitted = [beta[-1] * factor[2 * terms + 1 - i] for i in range(2 * terms + 2)]
+    return tuple([a / mp.factorial(i) for i, a in enumerate(poly)][::-1]
+                 for poly in (corrections, omitted))
 
 
 # g(k) of the log-harmonic profile for 1 <= k < n at a given precision, on first use
@@ -135,36 +146,73 @@ _GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)  # keeps its nodes, made on
 # (offset d from the centre, weight, e^d) of the 24 nodes on a panel, per width and precision
 _gauss_panel = functools.cache(lambda width, prec: [
     (d, w, mp.exp(d)) for d, w in _GAUSS.get_nodes(-width / 2, width / 2, 4, prec)])
+# (v, w e^(-e^v)) of the 24 nodes on the knee panel [1.25 j, 1.25 (j+1)], per j and precision
+_knee_panel = functools.cache(lambda j, prec: [
+    (v, w * mp.exp(-mp.exp(v))) for v, w in _GAUSS.get_nodes(1.25 * j, 1.25 * (j + 1), 4, prec)])
+
+
+def _gauss_bound(h, m, growth):
+    # Trefethen's bound for 24 nodes on [m-h, m+h], rho = 5, |1/u| <= 1/(m - 2.6h)
+    return 64 / 15 * h * growth / (m - 2.6 * h) / (24 * 5 ** 46)
 
 
 def _log_harmonic_integral(c, n: int) -> tuple:
     """(value, truncation bound, rounding bound) of the integral of
     e^{-ct}/(t log t) over [n, inf), n >= 64: of f(u) = e^{-c e^u}/u from
-    log n, with its knee c e^u = 1 at u0 = log(1/c).  24-point Gauss-Legendre
-    panels run past u0 + 4.5, 1.25 wide at the knee and 1.25 * 2^j left of it,
-    at most their distance to the pole u = 0 and half that to the knee.  The
-    rule on [m-h, m+h] errs by at most (64/15) h M rho^-46/(rho^2-1), rho = 5
-    (Trefethen, SIAM Review 50, 2008, Thm 4.5), where on the Bernstein ellipse
-    Re u in m -+ 2.6h, |Im u| <= 2.4h, |1/u| <= 1/(m-2.6h) and |e^{-c e^u}|
-    is at most 1 if 2.4h <= pi/2, else e^{c e^(m+2.6h)}.  Past the last point
-    U the integral is below e^{-c e^U}/(c e^U U).  Rounding (README, "Bernoulli
-    series"): a panel sum s ending at b is good to eps s (9 + 4b (1 + c e^b))."""
-    lo, u0, prec = mp.log(n), -mp.log(c), mp.mp.prec
-    knee, offset, sums, truncation, rounding = float(u0), 0.0, [], 0, 0
-    while float(lo) + offset < knee + 4.5:
+    log n, in the knee frame v = u - L, L = log(1/c), where the knee
+    c e^u = 1 sits at v = 0 for every c.  24-point Gauss-Legendre panels:
+    * knee panels on the fixed grid v in [1.25 j, 1.25 (j+1)], j = -3..3,
+      from the first grid point at or past log n.  There e^{-c e^u} =
+      e^{-e^v} does not depend on c, so w e^{-e^v} is kept per (j, precision)
+      and a node costs one add and one division, 1/(L + v);
+    * left of the grid, panels 1.25 * 2^j wide from log n, at most their
+      distance to the pole u = 0 and half that to the knee; e^d per node
+      offset d is kept per width, so a node costs one exp.  The last is cut
+      to end at the seam L + 1.25 j0 and pays a second exp for its e^d.
+    There are no panels when log n lies past the grid.  The rule on [m-h, m+h]
+    errs by at most (64/15) h M rho^-46/(rho^2-1), rho = 5 (Trefethen, SIAM
+    Review 50, 2008, Thm 4.5), where on the Bernstein ellipse Re u in m -+ 2.6h,
+    |Im u| <= 2.4h, |1/u| <= 1/(m-2.6h) and |e^{-c e^u}| is at most 1 if
+    2.4h <= pi/2, else e^{c e^(m+2.6h)}.  Past the last point U the integral
+    is below e^{-c e^U}/(c e^U U).  Rounding (README, "Bernoulli series"): a
+    left panel sum s ending at b is good to eps s (9 + 4b (1 + c e^b)); a knee
+    panel sum s ending at v_end to eps s (8 + 2 e^v_end), anchored at the exact
+    log(1/c), from which the rounded L moves 1/u's node by at most eps L; the
+    seam between the two moves by at most 3 eps e^{-0.99 e^{1.25 j0}}."""
+    lo, knee, prec = mp.log(n), -mp.log(c), mp.mp.prec
+    j0 = max(-3, math.ceil(float(lo - knee) / 1.25))  # the first grid point at or past log n
+    if knee + 1.25 * j0 < lo:  # the float quotient rounded down onto a grid point
+        j0 += 1
+    j0 = min(j0, 4)  # 4: no knee panel
+    seam, offset, sums, truncation, rounding = knee + 1.25 * j0, 0.0, [], 0, 0
+    while lo + offset < seam:
         at, width = float(lo) + offset, 1.25
-        while 2 * width <= min(at, (knee - at) / 2):
+        while 2 * width <= min(at, (float(knee) - at) / 2):
             width *= 2
-        h, m, b = width / 2, lo + (offset + width / 2), lo + (offset + width)
+        if lo + (offset + width) <= seam:
+            h, nodes = width / 2, _gauss_panel(width, prec)
+            m, b = lo + (offset + h), lo + (offset + width)
+        else:  # the last one, cut at the seam
+            h = (seam - (lo + offset)) / 2
+            m, b = seam - h, seam
+            nodes = [(h * x, h * w, mp.exp(h * x)) for x, w in _GAUSS.get_nodes(-1, 1, 4, prec)]
         decay = -c * mp.exp(m)
-        s = mp.fdot((mp.exp(decay * e) / (m + d), w) for d, w, e in _gauss_panel(width, prec))
+        s = mp.fdot((mp.exp(decay * e) / (m + d), w) for d, w, e in nodes)
         rounding += s * (9 + 4 * b * (1 + c * mp.exp(b)))
         growth = 1 if 2.4 * h <= math.pi / 2 else mp.exp(c * mp.exp(m + 2.6 * h))
-        truncation += 64 / 15 * h * growth / (m - 2.6 * h) / (24 * 5 ** 46)
+        truncation += _gauss_bound(h, m, growth)
         sums.append(s)
         offset += width
-    top = c * mp.exp(lo + offset)
-    return mp.fsum(sums), truncation + mp.exp(-top) / (top * (lo + offset)), rounding * mp.eps
+    for j in range(j0, 4):
+        s = mp.fsum(k / (knee + v) for v, k in _knee_panel(j, prec))
+        rounding += s * (8 + 2 * math.exp(1.25 * (j + 1)))
+        truncation += _gauss_bound(0.625, knee + (1.25 * j + 0.625), 1)
+        sums.append(s)
+    if j0 < 4:
+        rounding += 3 * math.exp(-0.99 * math.exp(1.25 * j0))
+    end = max(lo, knee + 5)
+    top = c * mp.exp(end)
+    return mp.fsum(sums), truncation + mp.exp(-top) / (top * end), rounding * mp.eps
 
 
 def _one_minus_x(lam: mp.mpf) -> mp.mpf:
@@ -369,8 +417,10 @@ class LogHarmonic(GapProfile):
         for g(t) = x^t/(t log t) = e^{-ct}/(t log t).  g is completely
         monotone on t > 1 (a product of e^{-ct}, 1/t and 1/log t), so every
         even derivative is positive and R lies between 0 and the first
-        omitted correction.  The bound adds that correction, the integral's
-        Gauss and rounding bounds and the rounding of the head and tail."""
+        omitted correction.  Both are e^{-cN} times a polynomial in c whose
+        coefficients are kept per precision (``_log_harmonic_tail``).  The
+        bound adds that correction, the integral's Gauss and rounding bounds
+        and the rounding of the head and tail."""
         n, terms = self._HEAD, self._EM_TERMS
         x = (1 - lam) ** 2
         c = -2 * mp.log1p(-lam)
@@ -378,11 +428,11 @@ class LogHarmonic(GapProfile):
         for _ in range(2, n):
             powers.append(powers[-1] * x)
         head = mp.fdot(powers, _log_harmonic_head(n, mp.mp.prec))
-        coeffs = _log_harmonic_derivatives(c, n, 2 * terms + 1)
-        # B_2j/(2j)! g^(2j-1)(N) = B_2j/(2j) times the (2j-1)-th coefficient
-        tail = coeffs[0] / 2 - mp.fsum(mp.bernoulli(2 * j) / (2 * j) * coeffs[2 * j - 1]
-                                       for j in range(1, terms + 1))
-        omitted = abs(mp.bernoulli(2 * terms + 2) / (2 * terms + 2) * coeffs[2 * terms + 1])
+        # B_2j/(2j)! g^(2j-1)(N) = B_2j/(2j) times the (2j-1)-th Taylor coefficient
+        corrections, first_omitted = _log_harmonic_tail(n, terms, mp.mp.prec)
+        decay = mp.exp(-c * n)
+        tail = decay * mp.polyval(corrections, -c)
+        omitted = abs(decay * mp.polyval(first_omitted, -c))
         integral, truncation, rounding = _log_harmonic_integral(c, n)
         value = head + tail + integral
         return value, omitted + truncation + rounding + _rounding(value, 4 * n)

@@ -10,7 +10,8 @@ import pytest
 from singflow import (BitSequence, ConstantProfile, FlowMeasureSpec, Harmonic,
                       LogHarmonic, MeasureAtom, Power, RoofFunction, Table,
                       Truncated, ZeroProfile, abramov, fiber_sfts, FlowPoint,
-                      flow_entropy_bernoulli, roof_integral_bernoulli,
+                      flow_entropy_bernoulli, parse_roof_spec,
+                      roof_integral_bernoulli, roof_prime,
                       separated_entropy_estimate, sex_entropy_formula,
                       sft_entropy_wordcount, shannon_binary,
                       singular_limit_scan, word_count)
@@ -332,6 +333,18 @@ def test_word_count_rejections():
             word_count(words, n)
     with pytest.raises(ValueError, match="words must share one length"):
         word_count([(0,), (1, 1)], 4)
+
+
+@pytest.mark.parametrize("spec, l", [("harmonic:0.3", 0.3), ("harmonic:1", 1.0),
+                                     ("harmonic:2.5", 2.5), ("trunc:1.3:power:0.5", 1.3)])
+def test_scan_target_is_the_fiber_entropy_over_the_accelerated_roof(spec, l):
+    """The scan's target 1/(2l) is Abramov's quotient on the singular fiber:
+    the fiber subshifts' entropy (log 2)/2 over the accelerated roof at the
+    zero sequence, l log 2."""
+    roof_at_zero = roof_prime(BitSequence.zero(), parse_roof_spec(spec))
+    for fiber in fiber_sfts():
+        derived = abramov(sft_entropy_wordcount(fiber, 40).value, roof_at_zero)
+        assert abs(derived - 1 / (2 * l)) <= 2 * math.ulp(1 / (2 * l)), (spec, derived)
 
 
 def test_sex_entropy_formula():

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -14,6 +15,7 @@ from singflow import (ADMISSIBLE, INADMISSIBLE, BitSequence, ConstantProfile,
                       RoofSpecError, Table, Truncated, UntaggedTableError,
                       ZeroProfile, admissibility_check, flow_entropy_bernoulli,
                       parse_roof_spec, roof_eval)
+from singflow import roofs
 from singflow.roofs import _log_harmonic_integral, _polylog_singular, _zeta_term
 
 
@@ -182,7 +184,14 @@ FAMILIES = [
 
 def test_import_leaves_mpmath_precision_alone():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = "import mpmath, singflow, singflow.cli; assert mpmath.mp.dps == 15, mpmath.mp.dps"
+    # nor computes anything the roofs keep: each kept value is made on first use
+    code = ("import mpmath, singflow, singflow.cli\n"
+            "assert mpmath.mp.dps == 15, mpmath.mp.dps\n"
+            "from singflow import roofs\n"
+            "kept = (roofs._knee_panel, roofs._gauss_panel, roofs._log_harmonic_tail,\n"
+            "        roofs._log_harmonic_factor, roofs._log_harmonic_head,\n"
+            "        roofs._zeta_term, roofs._polylog_singular)\n"
+            "assert all(k.cache_info().currsize == 0 for k in kept)")
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -298,6 +307,80 @@ def test_log_harmonic_quadrature_bound_is_below_the_series_rounding():
             _, truncation, rounding = _log_harmonic_integral(-2 * mp.log1p(-mp.mpf(lam)), 64)
             # the series adds the rounding of its 64-term head and tail, 4*64 units of its value
             assert truncation < rounding + 4 * 64 * value * mp.eps, lam
+
+
+_ORACLE_GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)
+_oracle_panel = functools.cache(lambda width, prec: [
+    (d, w, mp.exp(d)) for d, w in _ORACLE_GAUSS.get_nodes(-width / 2, width / 2, 4, prec)])
+
+
+def panel_log_harmonic_integral(c, n):
+    """Oracle: the log-harmonic integral as the library computed it before
+    its knee grid, 24-point Gauss-Legendre panels of f(u) = e^{-c e^u}/u from
+    log n to past u0 + 4.5, u0 = log(1/c), 1.25 wide at the knee and
+    1.25 * 2^j left of it, every node paying an exp; (value, truncation
+    bound, rounding bound) as derived there."""
+    lo, u0, prec = mp.log(n), -mp.log(c), mp.mp.prec
+    knee, offset, sums, truncation, rounding = float(u0), 0.0, [], 0, 0
+    while float(lo) + offset < knee + 4.5:
+        at, width = float(lo) + offset, 1.25
+        while 2 * width <= min(at, (knee - at) / 2):
+            width *= 2
+        h, m, b = width / 2, lo + (offset + width / 2), lo + (offset + width)
+        decay = -c * mp.exp(m)
+        s = mp.fdot((mp.exp(decay * e) / (m + d), w) for d, w, e in _oracle_panel(width, prec))
+        rounding += s * (9 + 4 * b * (1 + c * mp.exp(b)))
+        growth = 1 if 2.4 * h <= math.pi / 2 else mp.exp(c * mp.exp(m + 2.6 * h))
+        truncation += 64 / 15 * h * growth / (m - 2.6 * h) / (24 * 5 ** 46)
+        sums.append(s)
+        offset += width
+    top = c * mp.exp(lo + offset)
+    return mp.fsum(sums), truncation + mp.exp(-top) / (top * (lo + offset)), rounding * mp.eps
+
+
+STARTS = (64, 10 ** 3, 3 * 10 ** 4, 10 ** 6, 10 ** 7)
+FIXED_LAMS = (0.9, 0.5, 1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-17, 1e-50, 1e-100, 1e-300)
+
+
+def seeded_lams(seed, count=200):
+    rng = random.Random(seed)
+    return [10 ** rng.uniform(-13, -2) for _ in range(count)]
+
+
+def test_knee_grid_integral_matches_the_panel_oracle():
+    """Within both derived bounds: every fixed lambda at every start and at
+    30 and 60 digits, and 200 seeded lambdas at the series' start and
+    precision."""
+    cases = [(lam, start, dps) for lam in FIXED_LAMS for start in STARTS for dps in (30, 60)]
+    cases += [(lam, 64, 30) for lam in seeded_lams(2021)]
+    places = []  # log n - log(1/c): inside the knee grid's span, or past it
+    for lam, start, dps in cases:
+        with mp.workdps(dps):
+            c = -2 * mp.log1p(-mp.mpf(lam))
+            value, truncation, rounding = _log_harmonic_integral(c, start)
+            oracle, oracle_truncation, oracle_rounding = panel_log_harmonic_integral(c, start)
+            bound = truncation + rounding + oracle_truncation + oracle_rounding
+            assert abs(value - oracle) <= bound, (lam, start, dps)
+            places.append(float(mp.log(start) + mp.log(c)))
+    assert any(-3.75 < p < 5 and p % 1.25 for p in places)  # a cut seam panel, then knee panels
+    assert any(p > 5 for p in places)  # past the grid: no panel at all
+
+
+def test_kept_knee_values_give_one_value_cold_and_warm():
+    """The same mpf and bound whatever was kept before: the lambda set runs in
+    shuffled order from emptied caches, then warm in another order."""
+    rng = random.Random(2022)
+    lams = list(FIXED_LAMS) + seeded_lams(2021)  # the oracle test's set
+    kept = (roofs._knee_panel, roofs._gauss_panel, roofs._log_harmonic_tail,
+            roofs._log_harmonic_factor, roofs._log_harmonic_head)
+    for cache in kept:
+        cache.cache_clear()
+    rng.shuffle(lams)
+    cold = {lam: LogHarmonic().bernoulli_series(lam, with_bound=True) for lam in lams}
+    assert roofs._knee_panel.cache_info().currsize == 7  # j = -3..3 at 30 digits
+    rng.shuffle(lams)
+    for lam in lams:
+        assert LogHarmonic().bernoulli_series(lam, with_bound=True) == cold[lam], lam
 
 
 # ---------------------------------------------------------------------------
