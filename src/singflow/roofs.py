@@ -94,52 +94,35 @@ def _head_swap(head, profile: "GapProfile", lam) -> tuple:
     return value, bound + _rounding(magnitude, 2 * m + 4) + _rounding(value, 1)
 
 
-def _times(a: list, b: list) -> list:
-    """Taylor coefficients of the product of two series of one length."""
-    return [mp.fdot(a[:m + 1], b[m::-1]) for m in range(len(a))]
-
-
 @functools.cache
-def _log_harmonic_factor(n: int, order: int, prec: int) -> list:
-    """Taylor coefficients at t = n, up to h^order, of 1/(t log t) at
-    ``prec`` bits, made on first use: the product of the series of 1/(n+h)
-    and 1/log(n+h) = 1/(log n + sum_m (-1)^{m+1} (h/n)^m / m)."""
-    inverse = [mp.mpf(1) / n]
-    for m in range(1, order + 1):
-        inverse.append(inverse[-1] / -n)
-    log_n = mp.log(n)
-    # log(n+h) - log n: coefficient m at index m-1 is -n * inverse[m] / m
-    log_tail = [-n * inverse[m] / m for m in range(1, order + 1)]
-    reciprocal = [1 / log_n]
-    for m in range(1, order + 1):
-        reciprocal.append(-mp.fdot(log_tail[:m], reciprocal[m - 1::-1]) / log_n)
-    return _times(inverse, reciprocal)
-
-
-@functools.cache
-def _log_harmonic_tail(n: int, terms: int, prec: int) -> tuple:
-    """The Euler-Maclaurin corrections at t = n of e^{-ct}/(t log t) over
-    e^{-cn}, as two polynomials in y = -c (coefficients highest degree
-    first, for ``mp.polyval``) at ``prec`` bits, made on first use.  The
-    m-th Taylor coefficient of e^{-c(n+h)} F(n+h), F = 1/(t log t), is
-    e^{-cn} sum_i y^i/i! F_(m-i), so F(n)/2 - sum_{j<=terms} B_2j/(2j) times
-    coefficient 2j-1 and the first omitted correction, B_2J/(2J) times
-    coefficient 2J-1 with J = terms + 1, are polynomials in y with lambda-free
-    coefficients."""
-    factor = _log_harmonic_factor(n, 2 * terms + 1, prec)
+def _log_harmonic_parts(n: int, terms: int, prec: int) -> tuple:
+    """The lambda-free parts of the log-harmonic series at ``prec`` bits, made
+    on first use: g(k) for 1 <= k < n, and the Euler-Maclaurin corrections at
+    t = n of e^{-ct}/(t log t) over e^{-cn} as two polynomials in y = -c
+    (coefficients highest degree first, for ``mp.polyval``).  The Taylor
+    coefficients F_m of F = 1/(t log t) at n invert those of t log t,
+    G_0 = n log n, G_1 = log n + 1 and G_m = (-1)^m/(m(m-1) n^(m-1)) for
+    m >= 2: F_0 = 1/G_0 and F_m = -(sum_{i=1..m} G_i F_(m-i))/G_0.  The m-th
+    Taylor coefficient of e^{-c(n+h)} F(n+h) is e^{-cn} sum_i y^i/i! F_(m-i),
+    so F(n)/2 - sum_{j<=terms} B_2j/(2j) times coefficient 2j-1 and the first
+    omitted correction, B_2J/(2J) times coefficient 2J-1 with J = terms + 1,
+    are polynomials in y with lambda-free coefficients."""
+    head = [mp.mpf(LOG_HARMONIC_AT_ONE)] + [1 / (k * mp.log(k)) for k in range(2, n)]
+    with mp.workprec(prec + 10):  # guard bits: each F_m carries the rounding of all before it
+        log_n = mp.log(n)
+        g = [n * log_n, log_n + 1] + [
+            mp.mpf((-1) ** m) / (m * (m - 1) * n ** (m - 1)) for m in range(2, 2 * terms + 2)]
+        f = [1 / g[0]]
+        for m in range(1, 2 * terms + 2):
+            f.append(-mp.fdot(g[1:m + 1], f[::-1]) / g[0])
     beta = [None] + [mp.bernoulli(2 * j) / (2 * j) for j in range(1, terms + 2)]
-    corrections = [factor[0] / 2 if i == 0 else 0 for i in range(2 * terms)]
+    corrections = [f[0] / 2] + [0] * (2 * terms - 1)
     for j in range(1, terms + 1):
         for i in range(2 * j):
-            corrections[i] -= beta[j] * factor[2 * j - 1 - i]
-    omitted = [beta[-1] * factor[2 * terms + 1 - i] for i in range(2 * terms + 2)]
-    return tuple([a / mp.factorial(i) for i, a in enumerate(poly)][::-1]
-                 for poly in (corrections, omitted))
-
-
-# g(k) of the log-harmonic profile for 1 <= k < n at a given precision, on first use
-_log_harmonic_head = functools.cache(lambda n, prec: [mp.mpf(LOG_HARMONIC_AT_ONE)] + [
-    1 / (k * mp.log(k)) for k in range(2, n)])
+            corrections[i] -= beta[j] * f[2 * j - 1 - i]
+    omitted = [beta[-1] * f[2 * terms + 1 - i] for i in range(2 * terms + 2)]
+    return (head,) + tuple([a / mp.factorial(i) for i, a in enumerate(poly)][::-1]
+                           for poly in (corrections, omitted))
 
 
 _GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)  # keeps its nodes, made on first use
@@ -418,7 +401,7 @@ class LogHarmonic(GapProfile):
         monotone on t > 1 (a product of e^{-ct}, 1/t and 1/log t), so every
         even derivative is positive and R lies between 0 and the first
         omitted correction.  Both are e^{-cN} times a polynomial in c whose
-        coefficients are kept per precision (``_log_harmonic_tail``).  The
+        coefficients are kept per precision (``_log_harmonic_parts``).  The
         bound adds that correction, the integral's Gauss and rounding bounds
         and the rounding of the head and tail."""
         n, terms = self._HEAD, self._EM_TERMS
@@ -427,9 +410,9 @@ class LogHarmonic(GapProfile):
         powers = [x]
         for _ in range(2, n):
             powers.append(powers[-1] * x)
-        head = mp.fdot(powers, _log_harmonic_head(n, mp.mp.prec))
         # B_2j/(2j)! g^(2j-1)(N) = B_2j/(2j) times the (2j-1)-th Taylor coefficient
-        corrections, first_omitted = _log_harmonic_tail(n, terms, mp.mp.prec)
+        head, corrections, first_omitted = _log_harmonic_parts(n, terms, mp.mp.prec)
+        head = mp.fdot(powers, head)
         decay = mp.exp(-c * n)
         tail = decay * mp.polyval(corrections, -c)
         omitted = abs(decay * mp.polyval(first_omitted, -c))
@@ -536,35 +519,31 @@ class Table(GapProfile):
 
     def __init__(self, values, tail: GapProfile | None = None, g0: float = 1.0):
         self.table = tuple(float(v) for v in values)
-        if any(v < 0 for v in self.table):
-            raise ValueError("table values must be nonnegative")
+        if not all(0 <= v < INF for v in self.table):
+            raise ValueError("table values must be nonnegative and finite")
         self.tail = tail
         self.g0 = float(g0)
+
+    @property
+    def _tail(self) -> GapProfile:
+        if self.tail is None:
+            raise UntaggedTableError("table profile has no declared tail")
+        return self.tail
 
     def value(self, k):
         if 1 <= k <= len(self.table):
             return self.table[k - 1]
-        if self.tail is None:
-            raise UntaggedTableError(
-                "table profile queried past its end and no tail is declared")
-        return self.tail.value(k)
+        return self._tail.value(k)
 
     def kg_limit(self):
-        if self.tail is None:
-            raise UntaggedTableError("table profile has no declared tail")
-        return self.tail.kg_limit()
+        return self._tail.kg_limit()
 
     def series_diverges(self):
-        if self.tail is None:
-            raise UntaggedTableError(
-                "admissibility of a table profile needs a declared tail")
-        return self.tail.series_diverges()
+        return self._tail.series_diverges()
 
     @_series(MP_DPS)
     def bernoulli_series(self, lam):
-        if self.tail is None:
-            raise UntaggedTableError("table profile has no declared tail")
-        return _head_swap(self.table, self.tail, lam)
+        return _head_swap(self.table, self._tail, lam)
 
     def spec(self):
         tail = "?" if self.tail is None else self.tail.spec()
@@ -572,22 +551,22 @@ class Table(GapProfile):
 
 
 class Truncated(GapProfile):
-    """Pointwise truncation min(g(k), a/k)."""
+    """Pointwise truncation min(g(k), a/k); over a table, or a truncated table,
+    the table of the truncated entries over the truncated tail."""
 
     def __init__(self, base: GapProfile, a: float):
         if not 0 < a < INF:
             raise ValueError("truncation level must be positive and finite")
         if isinstance(base, Geometric):
             raise TypeError("truncation needs a base with monotone k*g(k)")
-        if isinstance(base, Table):
-            h = [k * v for k, v in enumerate(base.table, start=1)]
-            up = all(x <= y for x, y in zip(h, h[1:]))
-            down = all(x >= y for x, y in zip(h, h[1:]))
-            if not (up or down):
-                raise TypeError("truncation needs a base with monotone k*g(k)")
         self.base = base
         self.a = float(a)
         self.g0 = base.g0
+        table = base._table if isinstance(base, Truncated) else base
+        self._table = None
+        if isinstance(table, Table):
+            self._table = Table([min(v, self.a / k) for k, v in enumerate(table.table, start=1)],
+                                Truncated(table._tail, a), base.g0)
 
     def value(self, k):
         return min(self.base.value(k), self.a / k)
@@ -604,8 +583,8 @@ class Truncated(GapProfile):
     def _crossover(self) -> tuple[int | None, bool]:
         """Smallest k at which the active branch flips (None if it never
         does), and whether the base branch is the one active below it.
-        k*g(k) is monotone for every supported base, so a doubling search
-        plus bisection is exact."""
+        k*g(k) is monotone for every base but a table, which is truncated
+        entry by entry, so a doubling search plus bisection is exact."""
         base_below = self.base.value(1) * 1 <= self.a
 
         def same_branch(k):
@@ -627,6 +606,8 @@ class Truncated(GapProfile):
 
     @_series(MP_DPS)
     def bernoulli_series(self, lam):
+        if self._table is not None:
+            return self._table.bernoulli_series(lam, with_bound=True)
         kstar, base_below = self._crossover()
         below = self.base if base_below else Harmonic(self.a, g0=self.g0)
         if kstar is None:

@@ -316,7 +316,10 @@ def parse_sequence_literal(text: str) -> BitSequence:
         body, _, tail = body.rpartition("@")
         if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", tail):
             raise SequenceFormatError(f"START must be an integer, got {tail!r}")
-        start = int(tail)
+        try:
+            start = int(tail)
+        except ValueError as exc:  # past Python's limit on the digits of an int string
+            raise SequenceFormatError(f"START has too many digits: {exc}") from None
     parts = body.split("|")
     if len(parts) != 3:
         raise SequenceFormatError("literal must have the form LEFT|WORD|RIGHT[@START]")

@@ -164,11 +164,34 @@ def test_roof_function_validation():
         RoofFunction()
     with pytest.raises(TypeError):
         Truncated(Geometric(0.5), 1.0)
-    # a table base needs k*g(k) monotone over its entries, rising or falling
-    Truncated(Table([0.9, 0.8, 0.7], tail=Harmonic(1.0)), 1.0)
-    Truncated(Table([1.0, 0.4, 0.2], tail=Power(2.0)), 1.0)
-    with pytest.raises(TypeError, match="monotone"):
-        Truncated(Table([1.0, 0.2, 0.5], tail=Harmonic(1.0)), 1.0)
+    # a table base is truncated entry by entry, so only its tail is checked
+    with pytest.raises(TypeError):
+        Truncated(Table([0.9, 0.8], tail=Geometric(0.5)), 1.0)
+    with pytest.raises(UntaggedTableError):
+        Truncated(Table([0.9, 0.8]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_table_refuses_values_that_are_not_finite_and_nonnegative(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Table([0.5, bad], tail=Harmonic())
+
+
+@pytest.mark.parametrize("profile, lam", [
+    # k*g(k) is 0.5, 0.3 over the entries and turns where the tail's 1.0 meets them
+    (Truncated(Table([0.5, 0.15], tail=Harmonic(1.0)), 0.464), 1e-3),
+    (Truncated(Table([0.5, 0.15], tail=Harmonic(1.0)), 0.464), 1e-2),
+    # k*g(k) is not monotone over the entries
+    (Truncated(Table([1.0, 0.2, 0.5], tail=Harmonic(1.0)), 1.0), 1e-3),
+    (Truncated(Table([0.9, 0.8, 0.7], tail=Harmonic(1.0)), 1.0), 1e-3),
+    (Truncated(Table([1.0, 0.4, 0.2], tail=Power(2.0)), 1.0), 1e-3),
+    (Truncated(Truncated(Table([0.5, 0.15], tail=Harmonic(1.0)), 0.9), 0.464), 1e-3),
+])
+def test_truncated_table_matches_brute_force(profile, lam):
+    exact = float(profile.bernoulli_series(lam))
+    ks = np.arange(1, 40_001, dtype=np.float64)  # x^k < e^-80 past 40,000 at lam >= 1e-3
+    vals = np.array([profile.value(k) for k in range(1, 40_001)])
+    assert exact == pytest.approx(math.fsum(vals * np.exp(ks * 2.0 * np.log1p(-lam))), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +211,8 @@ def test_import_leaves_mpmath_precision_alone():
     code = ("import mpmath, singflow, singflow.cli\n"
             "assert mpmath.mp.dps == 15, mpmath.mp.dps\n"
             "from singflow import roofs\n"
-            "kept = (roofs._knee_panel, roofs._gauss_panel, roofs._log_harmonic_tail,\n"
-            "        roofs._log_harmonic_factor, roofs._log_harmonic_head,\n"
-            "        roofs._zeta_term, roofs._polylog_singular)\n"
+            "kept = [v for v in vars(roofs).values() if hasattr(v, 'cache_info')]\n"
+            "assert roofs._log_harmonic_parts in kept and roofs._zeta_term in kept\n"
             "assert all(k.cache_info().currsize == 0 for k in kept)")
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -366,14 +388,17 @@ def test_knee_grid_integral_matches_the_panel_oracle():
     assert any(p > 5 for p in places)  # past the grid: no panel at all
 
 
+def kept_caches():
+    """Every cache the roofs module keeps, found by its ``cache_info``."""
+    return [v for v in vars(roofs).values() if hasattr(v, "cache_info")]
+
+
 def test_kept_knee_values_give_one_value_cold_and_warm():
     """The same mpf and bound whatever was kept before: the lambda set runs in
     shuffled order from emptied caches, then warm in another order."""
     rng = random.Random(2022)
     lams = list(FIXED_LAMS) + seeded_lams(2021)  # the oracle test's set
-    kept = (roofs._knee_panel, roofs._gauss_panel, roofs._log_harmonic_tail,
-            roofs._log_harmonic_factor, roofs._log_harmonic_head)
-    for cache in kept:
+    for cache in kept_caches():
         cache.cache_clear()
     rng.shuffle(lams)
     cold = {lam: LogHarmonic().bernoulli_series(lam, with_bound=True) for lam in lams}
@@ -381,6 +406,57 @@ def test_kept_knee_values_give_one_value_cold_and_warm():
     rng.shuffle(lams)
     for lam in lams:
         assert LogHarmonic().bernoulli_series(lam, with_bound=True) == cold[lam], lam
+
+
+def product_times(a, b):
+    """Taylor coefficients of the product of two series of one length."""
+    return [mp.fdot(a[:m + 1], b[m::-1]) for m in range(len(a))]
+
+
+def product_log_harmonic_factor(n, order):
+    """Oracle: Taylor coefficients at t = n, up to h^order, of 1/(t log t) as
+    the library made them before the recurrence: the product of the series of
+    1/(n+h) and 1/log(n+h) = 1/(log n + sum_m (-1)^{m+1} (h/n)^m / m)."""
+    inverse = [mp.mpf(1) / n]
+    for m in range(1, order + 1):
+        inverse.append(inverse[-1] / -n)
+    log_n = mp.log(n)
+    log_tail = [-n * inverse[m] / m for m in range(1, order + 1)]
+    reciprocal = [1 / log_n]
+    for m in range(1, order + 1):
+        reciprocal.append(-mp.fdot(log_tail[:m], reciprocal[m - 1::-1]) / log_n)
+    return product_times(inverse, reciprocal)
+
+
+def product_log_harmonic_parts(n, terms):
+    """Oracle: the head g(1..n-1) and the two correction polynomials in
+    y = -c, highest degree first, built from ``product_log_harmonic_factor``
+    as the library built them before the recurrence."""
+    head = [mp.mpf(roofs.LOG_HARMONIC_AT_ONE)] + [1 / (k * mp.log(k)) for k in range(2, n)]
+    factor = product_log_harmonic_factor(n, 2 * terms + 1)
+    beta = [None] + [mp.bernoulli(2 * j) / (2 * j) for j in range(1, terms + 2)]
+    corrections = [factor[0] / 2 if i == 0 else 0 for i in range(2 * terms)]
+    for j in range(1, terms + 1):
+        for i in range(2 * j):
+            corrections[i] -= beta[j] * factor[2 * j - 1 - i]
+    omitted = [beta[-1] * factor[2 * terms + 1 - i] for i in range(2 * terms + 2)]
+    return (head,) + tuple([a / mp.factorial(i) for i, a in enumerate(poly)][::-1]
+                           for poly in (corrections, omitted))
+
+
+@pytest.mark.parametrize("dps", [30, 40, 60])
+@pytest.mark.parametrize("n", [64, 100, 1000])
+def test_log_harmonic_parts_match_the_product_oracle(n, dps):
+    terms = LogHarmonic._EM_TERMS
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        head, corrections, omitted = roofs._log_harmonic_parts(n, terms, prec)
+        oracle_head, oracle_corrections, oracle_omitted = product_log_harmonic_parts(n, terms)
+        assert head == oracle_head
+        for kept, oracle in ((corrections, oracle_corrections), (omitted, oracle_omitted)):
+            assert len(kept) == len(oracle)
+            for a, b in zip(kept, oracle):
+                assert abs(a - b) <= 16 * mp.ldexp(1, mp.frexp(b)[1] - prec), (a, b)
 
 
 # ---------------------------------------------------------------------------

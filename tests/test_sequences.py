@@ -354,6 +354,15 @@ def test_literal_malformed_start_is_typed(text):
         parse_sequence_literal(text)
 
 
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_literal_start_past_the_int_digit_limit_is_typed(sign):
+    # 4,300 digits is Python's default limit on int-string conversion
+    with pytest.raises(SequenceFormatError):
+        parse_sequence_literal("0*|1|0*@" + sign + "9" * 5000)
+    x = parse_sequence_literal("0*|1|0*@" + sign + "9" * 4300)
+    assert x.start == int(sign + "9" * 4300)
+
+
 def test_parse_sequence_literal_raises_only_sequence_format_errors():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
