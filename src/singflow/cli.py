@@ -259,6 +259,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = io.StringIO()  # written only once the command returns: an error writes nothing
     try:
+        if min(getattr(args, "gap_max", 0), getattr(args, "kplus_max", 0)) < 0:
+            raise ValueError("--gap-max and --kplus-max must be nonnegative")
         code = args.run(args, out)
         if args.output == "-":
             sys.stdout.write(out.getvalue())

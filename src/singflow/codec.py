@@ -98,7 +98,12 @@ def _region_step(km, kp, adjusted: bool) -> tuple:
         return 4, (kp + 1) // 2
     if (3 * km < kp) if adjusted else (3 * km <= kp):
         return 2, km
-    return 3, kp - (km + kp) ** 2 // (8 * km)
+    return 3, _contracting_steps(km, kp)
+
+
+def _contracting_steps(km, kp):
+    """The R3 step k+ - floor((k- + k+)^2 / (8 k-)), on ints or int64 arrays."""
+    return kp - (km + kp) ** 2 // (8 * km)
 
 
 def _region_step_at(k: GapPair, boundary: str) -> tuple:
@@ -131,7 +136,7 @@ def region_steps(km, kp, boundary: str = ADJUSTED) -> tuple:
     region = np.where(km == 0, 1, np.where(kp <= km, 4, np.where(expanding, 2, 3)))
     step = np.where(region == 1, 1, np.where(region == 2, km, (kp + 1) // 2))
     r3 = region == 3  # the contracting formula, only where it applies (k- > 0)
-    step[r3] = kp[r3] - (km[r3] + kp[r3]) ** 2 // (8 * km[r3])
+    step[r3] = _contracting_steps(km[r3], kp[r3])
     return region, step
 
 

@@ -3,8 +3,9 @@
 Each suite maps (gap_max, kplus_max, boundary) to (ok, detail).  The suites
 run on whole arrays, in chunks of about ``_CHUNK`` elements so memory stays
 flat.  The codec computes everything the code defines: the batch law
-``codec.region_steps``, and the lockstep walks ``codec.return_profiles`` with
-each gap's z1 and code word; the suites hold only their checks and messages.
+``codec.region_steps``, its contracting step ``codec._contracting_steps``, and
+the lockstep walks ``codec.return_profiles`` with each gap's z1 and code word;
+the suites hold only their checks and messages.
 A failure names the first failing pair or gap of a plain loop over the
 range, checks taken in the documented order.
 """
@@ -25,6 +26,8 @@ _CHUNK = 1 << 15
 def _ranges(lo: int, hi: int, width: int = 0):
     """lo..hi as consecutive int64 arrays of about _CHUNK // width items; the
     default width is that of a block walk, at most about 2 log2(gap) + 2 steps."""
+    if hi >= 1 << 30:  # the walks' limit, so that 8 k- k+ stays in int64
+        raise ValueError(f"a sweep must end below 2^30, not at {hi}")
     size = max(1, _CHUNK // (width or 2 * max(hi, 1).bit_length() + 2))
     for a in range(lo, hi + 1, size):
         yield np.arange(a, min(a + size, hi + 1), dtype=np.int64)
@@ -96,7 +99,7 @@ _INJEC_FAILURES = ("lower step bound broken", "unexpected equality case",
 
 
 def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
-    """Row by row in k+ <= kplus_max, on every R3 pair: the step L obeys
+    """Row by row in k+ <= kplus_max, on every R3 pair: the contracting step L obeys
     (k+ - k-)/2 <= L, with equality only at k+ = 3k-, L <= ceil(k+/2), and
     the defect k+ + k- - ceil(sqrt(8 k- (k+ - L))) lies in 0..4.  Then
     two-sided harmonic sums near the split approach log 2."""
@@ -106,12 +109,14 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         los = -(-kps // 3) if boundary == cdc.ADJUSTED else kps // 3 + 1
         kp = np.repeat(kps, kps - los)
         km = np.arange(kp.size) + np.repeat(los - np.searchsorted(kp, kps), kps - los)
-        _, L = cdc.region_steps(km, kp, boundary)
+        L = cdc._contracting_steps(km, kp)
         signed = kp + km - ceil_sqrt_array(8 * km * (kp - L))
-        fails = np.stack([2 * L < kp - km, (2 * L == kp - km) & (kp != 3 * km),
-                          L > (kp + 1) // 2, (signed < 0) | (signed > 4)])
-        if fails.any():
-            kplus = kp[fails.any(axis=0).argmax()]
+        # on these rows a broken lower bound makes 8 k- (k+ - L) > (k+ + k-)^2: defect < 0
+        failed = (L > (kp + 1) // 2) | (signed < 0) | (signed > 4)
+        if failed.any():
+            kplus = kp[failed.argmax()]
+            fails = np.stack([2 * L < kp - km, (2 * L == kp - km) & (kp != 3 * km),
+                              L > (kp + 1) // 2, (signed < 0) | (signed > 4)])
             check = fails[:, kp == kplus].any(axis=1).argmax()
             return False, f"{_INJEC_FAILURES[check]} at k+={kplus}"
         checked += kp.size
@@ -119,7 +124,7 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
     base = np.array([1000, 1499, 2000, 3000, 5000])
     km0 = np.repeat(base, 4)
     kp0 = np.stack([base + 1, 3 * base // 2, 2 * base, 3 * base], axis=1).ravel()
-    _, L0 = cdc.region_steps(km0, kp0)  # all in R3 under the adjusted boundary
+    L0 = cdc._contracting_steps(km0, kp0)  # all in R3 under the adjusted boundary
     split = ((h[(kp0 + km0) // 2] - h[km0 - 1])
              + (h[-(-(kp0 + km0) // 2)] - h[kp0 - L0 - 1]))
     worst = np.abs(split - math.log(2.0)).max()

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -283,12 +284,35 @@ def test_flow_resource_error_exits_two(capsys):
      "nests more than 300 truncations"),
     (["metric", "--samples", "-5"], "samples"),
     (["codec", "decode", "--word", "1^4 2^x 2^x 3^x 4^x 4^1"], "not-in-image"),
+    (["verify", "--gap-max", "-1", "--kplus-max", "-1"], "nonnegative"),
+    (["verify", "--suite", "injec", "--kplus-max", "-1"], "nonnegative"),
+    (["codec", "roundtrip", "--gap-max", "-3"], "nonnegative"),
+    (["report", "--gap-max", "-3"], "nonnegative"),
 ], ids=["infinite-sweep", "overflowing-sweep", "zero-sweep", "empty-grid-token",
-        "deep-roof-spec", "negative-samples", "word-outside-image"])
+        "deep-roof-spec", "negative-samples", "word-outside-image", "negative-verify-ranges",
+        "negative-kplus-max", "negative-roundtrip-range", "negative-report-range"])
 def test_bad_sizes_exit_two_and_write_nothing(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "fr", "--gap-max", str(1 << 30)],
+    ["verify", "--suite", "codec", "--gap-max", str(1 << 30)],
+    ["verify", "--suite", "injec", "--kplus-max", str(1 << 30)],
+    ["verify", "--gap-max", str(1 << 30)],
+    ["codec", "roundtrip", "--gap-max", str(1 << 30)],
+    ["report", "--gap-max", str(1 << 30)],
+], ids=["fr", "codec", "injec", "all", "roundtrip", "report"])
+def test_a_sweep_past_the_walks_limit_exits_two_at_once(argv, capsys):
+    """Gaps and k+ stop below 2^30; a sweep to 2^30 would run for hours
+    before the walks refused it, so it is refused before it starts."""
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: a sweep must end below 2^30, not at {1 << 30}\n"
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -117,6 +117,7 @@ def test_suites_on_tiny_ranges(gap_max, kplus_max):
 
 
 LAW = cdc.region_steps
+CONTRACTING = cdc._contracting_steps
 
 
 def _floor_halving(km, kp, boundary=ADJUSTED):
@@ -126,19 +127,31 @@ def _floor_halving(km, kp, boundary=ADJUSTED):
     return region, np.where(region == 4, np.maximum(kp // 2, np.minimum(kp, 1)), step)
 
 
-def _long_r3_step(km, kp, boundary=ADJUSTED):
-    """The law with the R3 step one longer whenever 7 divides k+."""
-    region, step = LAW(km, kp, boundary)
-    kp = np.asarray(kp)
-    return region, np.where(region == 3, np.minimum(step + (kp % 7 == 0), kp), step)
+def _long_r3_step(km, kp):
+    """The contracting step one longer whenever 7 divides k+."""
+    return np.minimum(CONTRACTING(km, kp) + (kp % 7 == 0), kp)
 
 
-def _short_r3_step(km, kp, boundary=ADJUSTED):
-    """The law with the R3 step one shorter, kept >= 1 so every walk ends."""
-    region, step = LAW(km, kp, boundary)
-    return region, np.where(region == 3, np.maximum(step - 1, 1), step)
+def _short_r3_step(km, kp):
+    """The contracting step one shorter, kept >= 1 so every walk ends."""
+    return np.maximum(CONTRACTING(km, kp) - 1, 1)
 
 
+def _shorter_r3_step_at_11(km, kp):
+    """The contracting step one shorter whenever 11 divides k+: at (4, 11)
+    it falls below (k+ - k-)/2."""
+    return CONTRACTING(km, kp) - (kp % 11 == 0)
+
+
+def _halved_gap_at_13(km, kp):
+    """The step ceil((k+ - k-)/2) whenever 13 divides k+: the equality case
+    of the lower bound, at (5, 13), off k+ = 3k-."""
+    return np.where(kp % 13 == 0, (kp - km + 1) // 2, CONTRACTING(km, kp))
+
+
+# The texts of the last two laws were recorded with the mutation applied to
+# the R3 entries of ``region_steps`` and injec's four checks stacked row by
+# row: its single mask reports the same first failure.
 @pytest.mark.parametrize("law, expected", [
     (_floor_halving, {"fr": "gap 7: parity expansion broken at step 3",
                       "codec": "roundtrip failed at gap 7"}),
@@ -149,9 +162,16 @@ def _short_r3_step(km, kp, boundary=ADJUSTED):
     (_short_r3_step, {"fr": "gap 5: z1 out of range (-1)",
                       "injec": "defect bound broken at k+=3",
                       "codec": "gap 5: z1 out of range (-1)"}),
+    (_shorter_r3_step_at_11, {"fr": "gap 15: z1 out of range (-1)",
+                              "injec": "lower step bound broken at k+=11",
+                              "codec": "gap 15: z1 out of range (-1)"}),
+    (_halved_gap_at_13, {"fr": "gap 21: z1 out of range (-5)",
+                         "injec": "unexpected equality case at k+=13",
+                         "codec": "gap 21: z1 out of range (-5)"}),
 ])
 def test_suites_report_the_first_failure_of_a_broken_law(monkeypatch, law, expected):
-    monkeypatch.setattr(cdc, "region_steps", law)
+    target = "region_steps" if law is _floor_halving else "_contracting_steps"
+    monkeypatch.setattr(cdc, target, law)
     for name, fn in SUITES.items():
         ok, detail = fn(3000, 300, ADJUSTED)
         if name in expected:
@@ -169,15 +189,18 @@ def test_region_suite_reports_the_first_misplaced_pair(monkeypatch):
     assert SUITES["region"](350, 0, ADJUSTED) == (False, "pair (37,200) fell into R4")
 
 
+def test_the_contracting_law_is_written_once(monkeypatch):
+    """The scalar law, the batch law and the injec suite all take the R3
+    step from ``_contracting_steps``; ``reference_law`` stays the oracle."""
+    assert reference_law(2, 5, ADJUSTED) == cdc._region_step(2, 5, True) == (3, 2)
+    monkeypatch.setattr(cdc, "_contracting_steps", lambda km, kp: kp - km)
+    assert cdc._region_step(2, 5, True) == (3, 3)
+    assert cdc.region_steps([2, 0, 5, 1], [5, 5, 5, 5])[1].tolist() == [3, 1, 3, 1]
+    assert SUITES["injec"](0, 20, ADJUSTED) == (False, "defect bound broken at k+=3")
+
+
 def test_z1_out_of_range_is_a_typed_error_and_a_cli_error(monkeypatch, capsys):
-    step = cdc._region_step
-
-    def short_r3(km, kp, adjusted):
-        region, length = step(km, kp, adjusted)
-        return region, max(length - 1, 1) if region == 3 else length
-
-    monkeypatch.setattr(cdc, "_region_step", short_r3)
-    monkeypatch.setattr(cdc, "region_steps", _short_r3_step)
+    monkeypatch.setattr(cdc, "_contracting_steps", _short_r3_step)
     with pytest.raises(cdc.FirstReturnStructureError, match="z1 out of range for gap 5: -1"):
         return_profile(5)
     for argv in (["codec", "profile", "--gap", "5"], ["codec", "encode", "--gap", "5"],
