@@ -40,7 +40,7 @@ class RegionDomainError(ValueError):
 
 
 class FirstReturnStructureError(ValueError):
-    """The orbit across a block never visits R3, so no code word exists."""
+    """No code word across a block: its orbit skips R3, leaves z1 outside 0..4 or overshoots."""
 
 
 class DecodeError(ValueError):
@@ -226,7 +226,7 @@ class BlockProfile:
 def return_profile(gap: int, boundary: str = ADJUSTED) -> BlockProfile:
     """Walk the S-orbit across one block, where at offset o the gap pair is
     (o, gap-o), and collect its return data."""
-    if gap < 1:
+    if not isinstance(gap, (int, np.integer)) or gap < 1:
         raise ValueError("gap must be a positive integer")
     adjusted = _check_boundary(boundary)
     offsets, regions = [], []
@@ -237,7 +237,7 @@ def return_profile(gap: int, boundary: str = ADJUSTED) -> BlockProfile:
         regions.append(reg)
         o += step
     if o != gap:
-        raise AssertionError(f"orbit overshot the block: gap={gap}")
+        raise FirstReturnStructureError(f"orbit overshot the block: gap={gap}")
     p = len(offsets)
     r = regions.index(3) if 3 in regions else None
     eps = {}
@@ -264,7 +264,8 @@ _ROW_MAX = 59
 
 
 def _walks(gaps, boundary: str) -> tuple:
-    """(offsets, regions, z1) of ``return_profiles``, without the words."""
+    """(offsets, regions, p, r, z1): ``return_profiles`` without the words,
+    with each walk's length p and its R3 step r (-1 where it has none)."""
     gaps = np.asarray(gaps, dtype=np.int64)
     if gaps.ndim != 1 or not gaps.size or gaps.min() < 1 or gaps.max() >= 1 << 30:
         raise ValueError("gaps must be a nonempty sequence of integers in 1..2^30-1")
@@ -276,13 +277,14 @@ def _walks(gaps, boundary: str) -> tuple:
         regions.append(np.where(live, region, 0))
         o = o + step
     if (o != gaps).any():
-        raise AssertionError(f"orbit overshot the block: gap={gaps[o != gaps][0]}")
+        raise FirstReturnStructureError(f"orbit overshot the block: gap={gaps[o != gaps][0]}")
     offsets.append(o)
     offsets, regions = np.stack(offsets, axis=1), np.stack(regions, axis=1)
+    is3, rows = regions == 3, np.arange(gaps.size)
+    p, r = np.count_nonzero(regions, axis=1), np.where(is3.any(axis=1), is3.argmax(axis=1), -1)
     # z1 = gap - ceil(sqrt(8 k- k+)) at the step after the R3 visit r, where k- = 2^(r-1)
-    rows, r = np.arange(gaps.size), (regions == 3).argmax(axis=1)
     z1 = gaps - ceil_sqrt_array(8 * (1 << np.maximum(r - 1, 0)) * (gaps - offsets[rows, r + 1]))
-    return offsets, regions, np.where((regions[rows, r] == 3) & (gaps > 2), z1, 0)
+    return offsets, regions, p, r, np.where((r >= 0) & (gaps > 2), z1, 0)
 
 
 def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
@@ -298,11 +300,9 @@ def return_profiles(gaps, boundary: str = ADJUSTED) -> tuple:
     its word with the non-letter 24.  Gaps stay below 2^30, so that
     8 k- k+ <= 2 gap^2 fits in int64.
     """
-    offsets, regions, z1 = _walks(gaps, boundary)
-    gaps = offsets[:, -1]  # each walk ends at its gap
-    is3, c = regions == 3, np.arange(regions.shape[1])
-    p, r = np.count_nonzero(regions, axis=1), is3.argmax(axis=1)
-    coded = is3.any(axis=1) & (gaps > 2) & (z1 >= 0) & (z1 <= 4)
+    offsets, regions, p, r, z1 = _walks(gaps, boundary)
+    gaps, c = offsets[:, -1], np.arange(regions.shape[1])  # each walk ends at its gap
+    coded = (r >= 0) & (gaps > 2) & (z1 >= 0) & (z1 <= 4)
     # z indexes (0, 1, 2, 3, 4, x): z1 leads, then x except in every other
     # slot counted back from the end; slot c holds the parity of k+ at step
     # q = (p - 3 + c) / 2 for r < q < p - 1.  Past the walk (region 0) the index is -1.

@@ -28,7 +28,9 @@ def _ranges(lo: int, hi: int, width: int = 0):
     default width is that of a block walk, at most about 2 log2(gap) + 2 steps."""
     if hi >= 1 << 30:  # the walks' limit, so that 8 k- k+ stays in int64
         raise ValueError(f"a sweep must end below 2^30, not at {hi}")
-    size = max(1, _CHUNK // (width or 2 * max(hi, 1).bit_length() + 2))
+    if hi < max(lo, 1):
+        raise ValueError(f"a sweep from {lo} must end at {max(lo, 1)} or past it, not at {hi}")
+    size = max(1, _CHUNK // (width or 2 * hi.bit_length() + 2))
     for a in range(lo, hi + 1, size):
         yield np.arange(a, min(a + size, hi + 1), dtype=np.int64)
 
@@ -54,28 +56,23 @@ def region_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str
 
 def fr_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
     """For each gap 3..gap_max: the leading defect z1 in 0..4, the regions
-    R1 R2^(r-1) R3 R4^(p-1-r), offset 2^(q-1) at steps q <= r, k+ equal to
-    its parity expansion at steps q > r, and the return-time bound
-    2r >= p-3."""
+    R1 R2^(r-1) R3 R4^(p-1-r), offset 2^(q-1) at steps q <= r, k+ halved and
+    rounded down from each step r < q < p to the next (to 0 after the last),
+    which by induction from q = p-1 is k+ = 2^(p-1-q) + sum_i eps[q+i] 2^i,
+    its parity expansion, and the return-time bound 2r >= p-3."""
     bad = []
     for gaps in _ranges(3, gap_max):
-        offsets, regions, z1 = cdc._walks(gaps, boundary)
-        is3 = regions == 3
-        has3, p, r = is3.any(axis=1), np.count_nonzero(regions, axis=1), is3.argmax(axis=1)
+        offsets, regions, p, r, z1 = cdc._walks(gaps, boundary)
+        has3 = r >= 0
         bad += gaps[~has3].tolist()
         kp = gaps[:, None] - offsets
-        n, w = regions.shape
-        t, pc, rc = np.arange(w), p[:, None], r[:, None]
+        t, pc, rc = np.arange(regions.shape[1]), p[:, None], r[:, None]
         pattern = np.where(t == 0, 1, np.where(t < rc, 2, np.where(t == rc, 3, 4)))
         pattern_bad = ((regions != pattern) & (t < pc)).any(axis=1)
-        doubling = (t >= 1) & (t <= rc) & (offsets[:, :w] != 1 << np.maximum(t - 1, 0))
-        # k+ at step q must be 2^(p-1-q) + sum_i eps[q+i] 2^i, built from q = p-1 down
-        parity, val = np.zeros((n, w), dtype=bool), np.zeros(n, dtype=np.int64)
-        for q in range(w - 1, 0, -1):
-            val = np.where(q == p - 1, 1, 2 * val + (kp[:, q] & 1))
-            parity[:, q] = (q > r) & (q < p) & (kp[:, q] != val)
+        doubling = (t >= 1) & (t <= rc) & (offsets[:, :-1] != 1 << np.maximum(t - 1, 0))
+        halving = (t > rc) & (t < pc) & (kp[:, 1:] != kp[:, :-1] >> 1)
         z1_bad = (z1 < 0) | (z1 > 4)
-        failed = has3 & (pattern_bad | doubling.any(axis=1) | parity.any(axis=1)
+        failed = has3 & (pattern_bad | doubling.any(axis=1) | halving.any(axis=1)
                          | (2 * r < p - 3)) | z1_bad
         if failed.any():
             i = failed.argmax()
@@ -86,8 +83,8 @@ def fr_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
                 return False, f"gap {gap}: region pattern {tuple(regions[i, :p[i]].tolist())}"
             if doubling[i].any():
                 return False, f"gap {gap}: doubling broken at step {doubling[i].argmax()}"
-            if parity[i].any():
-                return False, f"gap {gap}: parity expansion broken at step {parity[i].argmax()}"
+            if halving[i].any():
+                return False, f"gap {gap}: parity expansion broken at step {halving[i].argmax()}"
             return False, f"gap {gap}: return time bound broken (p={p[i]}, r={r[i]})"
     if bad:
         return False, f"no R3 visit at gaps {bad[:8]}{'...' if len(bad) > 8 else ''}"
@@ -154,7 +151,7 @@ def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         if anomalies:
             return False, f"unexpected unencodable gaps {anomalies[:8]}"
         return True, f"gaps 1..{gap_max} roundtrip, all words distinct"
-    if anomalies != [1 << j for j in range(2, max(gap_max, 0).bit_length())]:
+    if anomalies != [1 << j for j in range(2, gap_max.bit_length())]:
         return False, f"anomaly set {anomalies[:8]}... differs from powers of two"
     return True, (f"non-anomalous gaps roundtrip; anomalies exactly the "
                   f"{len(anomalies)} powers of two >= 4")

@@ -288,9 +288,13 @@ def test_flow_resource_error_exits_two(capsys):
     (["verify", "--suite", "injec", "--kplus-max", "-1"], "nonnegative"),
     (["codec", "roundtrip", "--gap-max", "-3"], "nonnegative"),
     (["report", "--gap-max", "-3"], "nonnegative"),
+    (["verify", "--gap-max", "2", "--kplus-max", "1"],
+     "a sweep from 3 must end at 3 or past it, not at 2"),
+    (["codec", "roundtrip", "--gap-max", "0"], "a sweep from 1 must end at 1 or past it, not at 0"),
 ], ids=["infinite-sweep", "overflowing-sweep", "zero-sweep", "empty-grid-token",
         "deep-roof-spec", "negative-samples", "word-outside-image", "negative-verify-ranges",
-        "negative-kplus-max", "negative-roundtrip-range", "negative-report-range"])
+        "negative-kplus-max", "negative-roundtrip-range", "negative-report-range",
+        "empty-verify-sweep", "empty-roundtrip-sweep"])
 def test_bad_sizes_exit_two_and_write_nothing(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

@@ -15,6 +15,7 @@ from singflow import (ADJUSTED, ALPHABET, PAPER, AmbiguousContextError,
                       letter, parse_letter, parse_word, region_of, render_word,
                       return_profile, roof_prime, roof_prime_continuity_probe,
                       sft_entropy_wordcount, shift, step_length)
+from singflow.cli import main
 
 INF = math.inf
 LOG2 = math.log(2.0)
@@ -135,6 +136,17 @@ def test_return_profile_gap_4_both_conventions():
 def test_return_profile_small_gaps():
     assert return_profile(1).word == (letter(1, "x"),)
     assert return_profile(2).word == (letter(1, "x"), letter(4, "x"))
+
+
+def test_a_gap_that_is_not_a_positive_integer_is_a_value_error(capsys):
+    for gap in (2.5, 11.0, "11", None, 0, -3, np.float64(11.0)):
+        for fn in (return_profile, encode_block):
+            with pytest.raises(ValueError, match="^gap must be a positive integer$"):
+                fn(gap)
+    assert return_profile(np.int64(11)) == return_profile(11)
+    assert encode_block(np.int32(11)) == encode_block(11)
+    assert main(["codec", "profile", "--gap", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: gap must be a positive integer\n")
 
 
 def test_first_return_structure_sweep():

@@ -108,12 +108,27 @@ def test_verify_all_paper_boundary_prints_the_recorded_text(capsys):
         "10 powers of two >= 4\n")
 
 
+# each suite's sweep: its first value and the bound it runs to
+SWEEPS = {"region": (0, "gap"), "fr": (3, "gap"), "injec": (2, "kplus"), "codec": (1, "gap")}
+
+
 @pytest.mark.parametrize("gap_max, kplus_max", [(-1, -1), (0, 0), (1, 1), (2, 2), (5, 3)])
 def test_suites_on_tiny_ranges(gap_max, kplus_max):
-    results = {name: fn(gap_max, kplus_max, ADJUSTED) for name, fn in SUITES.items()}
+    """A suite whose sweep would check nothing refuses it; the rest pass."""
+    results = {}
+    for name, fn in SUITES.items():
+        lo, bound = SWEEPS[name]
+        hi = gap_max if bound == "gap" else kplus_max
+        if hi < max(lo, 1):
+            message = f"a sweep from {lo} must end at {max(lo, 1)} or past it, not at {hi}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(gap_max, kplus_max, ADJUSTED)
+        else:
+            results[name] = fn(gap_max, kplus_max, ADJUSTED)
     assert all(ok for ok, _ in results.values())
-    assert results["fr"][1] == f"first-return structure exact for gaps 3..{gap_max}"
-    assert results["codec"][1] == f"gaps 1..{gap_max} roundtrip, all words distinct"
+    if gap_max == 5:
+        assert results["fr"][1] == "first-return structure exact for gaps 3..5"
+        assert results["codec"][1] == "gaps 1..5 roundtrip, all words distinct"
 
 
 LAW = cdc.region_steps
@@ -178,6 +193,42 @@ def test_suites_report_the_first_failure_of_a_broken_law(monkeypatch, law, expec
             assert (ok, detail) == (False, expected[name])
         else:
             assert ok, detail
+
+
+def test_fr_names_the_step_where_halving_breaks(monkeypatch):
+    """R4 steps 1 instead of 2 at k+ = 3 in the block of gap 14 only, so k+
+    runs 6, 3, 2, 1 after R3: the halving breaks at the step where the true
+    walk has k+ = 3, above the first step after R3."""
+    def law(km, kp, boundary=ADJUSTED):
+        region, step = LAW(km, kp, boundary)
+        return region, np.where((region == 4) & (kp == 3) & (km + kp == 14), 1, step)
+
+    kplus, regions = [14], []
+    while kplus[-1]:
+        region, step = reference_law(14 - kplus[-1], kplus[-1], ADJUSTED)
+        regions.append(region)
+        kplus.append(kplus[-1] - step)
+    broken = kplus.index(3)
+    assert broken > regions.index(3) + 1
+    monkeypatch.setattr(cdc, "region_steps", law)
+    assert SUITES["fr"](3000, 0, ADJUSTED) == (
+        False, f"gap 14: parity expansion broken at step {broken}")
+
+
+def _overshooting_r3_step(km, kp):
+    """The contracting step one past k+ whenever 5 divides k+."""
+    return np.where(kp % 5 == 0, kp + 1, CONTRACTING(km, kp))
+
+
+def test_an_overshooting_walk_is_a_typed_error_and_a_cli_error(monkeypatch, capsys):
+    monkeypatch.setattr(cdc, "_contracting_steps", _overshooting_r3_step)
+    message = "orbit overshot the block: gap=7"
+    with pytest.raises(cdc.FirstReturnStructureError, match=f"^{message}$"):
+        return_profile(7)
+    with pytest.raises(cdc.FirstReturnStructureError, match=f"^{message}$"):
+        cdc.return_profiles(range(1, 30))
+    assert main(["verify", "--suite", "fr", "--gap-max", "30"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_region_suite_reports_the_first_misplaced_pair(monkeypatch):
