@@ -3,10 +3,13 @@
 Run:  python demos/flow_geometry_demo.py
 """
 
+import math
+import time
+
 from singflow import (HORIZONTAL, VERTICAL, BitSequence, FlowPoint, Harmonic,
                       RoofFunction, UnitPoint, bw_distance_upper, flow,
-                      flow_point, format_sequence_literal, pair_length,
-                      parse_sequence_literal, roof_eval, shift,
+                      flow_point, flowpoints_close, format_sequence_literal,
+                      pair_length, parse_sequence_literal, roof_eval, shift,
                       singular_point, unit_roof_extension)
 
 harm = RoofFunction.from_profile(Harmonic(1.0))
@@ -22,6 +25,22 @@ for t in (0.5, 1.0, 1.4, 2.0):
     q = flow(p, t, harm)
     print(f"  t={t:4.1f} ->  base {format_sequence_literal(q.base):22s} "
           f"height {q.height:.3f} / roof {roof_eval(harm, q.base):.3f}")
+print()
+
+# Out along the zero tail of a single 1 the roofs 1/k vanish but sum to
+# infinity, so the orbit goes on; inside a run of zeros the flow crosses all
+# but its last levels in one step, by the partial-sum law of 1/k.  After time
+# 1 + gamma + 40 log 2 it is about 2^40 positions out.
+tail = flow_point(harm, BitSequence.from_ones([0]), 0.0)
+t = 1 + 0.5772156649015329 + 40 * math.log(2)
+start = time.perf_counter()
+far = flow(tail, t, harm, max_crossings=2 ** 41)
+elapsed = time.perf_counter() - start
+out = tail.base.start - far.base.start
+print(f"after t={t:.4f} on the zero tail: {out} positions out "
+      f"(2^{math.log2(out):.4f}), in {elapsed * 1e3:.2f} ms")
+back = flow(far, -t, harm, max_crossings=2 ** 41)
+print("flowing back returns to the start:", flowpoints_close(back, tail, harm, 1e-12))
 print()
 
 # Chain geometry: pairs are horizontal (equal normalized height) or

@@ -263,6 +263,51 @@ def _polylog_near_one(alpha: float, c) -> tuple:
     return value, omitted / (1 - c / (2 * mp.pi)) + rounding + _rounding(value, 1)
 
 
+def _em_levels(k1: int, k2: int, big: float, spread: float, terms) -> tuple:
+    """(sum, bound) in doubles of g(k), k1 <= k < k2, for a completely monotone g
+    by Euler-Maclaurin (DLMF 2.10.1): big + C(k1) - C(k2) + E, big the integral
+    over [k1, k2], C(x) = g(x) (1/2 + t1 - t2 + t3), t_j = |B_2j/(2j)! g^(2j-1)/g|
+    at x, and E between 0 and the first omitted correction, as no derivative
+    of g changes sign: |E| <= T(k1) = |B_8/8! g^(7)(k1)|.  ``terms(x)`` gives
+    g(x), t1, t2, t3 and T(x)/g(x).  Rounding, u = 2^-53, each libm call within
+    an ulp: big is good to ``spread`` u and each t_j to 32u, so C(x) to 40u of
+    m(x) = g(x) (1/2 + t1 + t2 + t3) <= m(k1); the two additions cost 2u of
+    |big| + 2 m(k1); each double g(k) lies within 5u of g(k), adding 5u of the
+    same, or within 2^-1074 below the normal range."""
+    (g1, a1, b1, c1, omitted), (g2, a2, b2, c2, _) = terms(k1), terms(k2)
+    total = big + g1 * (0.5 + a1 - b1 + c1) - g2 * (0.5 + a2 - b2 + c2)
+    return total, g1 * (omitted + 2.0 ** -53 * 96 * (0.5 + a1 + b1 + c1)) \
+        + 2.0 ** -53 * (spread + 8) * abs(big) + (k2 - k1) * 5e-324
+
+
+def _power_levels(alpha: float, k1: int, k2: int) -> tuple:
+    """``_em_levels`` for t^-alpha: t1 = alpha/(12x), t2 = t1 (alpha+1)(alpha+2)
+    /(60x^2), t3 = t2 (alpha+3)(alpha+4)/(42x^2), T/g = t3 (alpha+5)(alpha+6)
+    /(40x^2).  The integral, k1^(1-alpha) expm1(z)/(1-alpha) with z = (1-alpha)
+    log1p((k2-k1)/k1) and no cancellation, is good to (13 + 5|z|)u, expm1
+    turning z's 5u into 5u max(1, z); at alpha = 1 it is log1p((k2-k1)/k1),
+    good to 3u, and C the digamma expansion (DLMF 5.11.2)."""
+    def terms(x):
+        t1 = alpha / (12 * x)
+        t2 = t1 * (alpha + 1) * (alpha + 2) / (60 * x * x)
+        t3 = t2 * (alpha + 3) * (alpha + 4) / (42 * x * x)
+        return x ** -alpha, t1, t2, t3, t3 * (alpha + 5) * (alpha + 6) / (40 * x * x)
+    log_ratio = math.log1p((k2 - k1) / k1)
+    z = (1 - alpha) * log_ratio
+    big = log_ratio if alpha == 1 else k1 * k1 ** -alpha * math.expm1(z) / (1 - alpha)
+    return _em_levels(k1, k2, big, 13 + 5 * abs(z), terms)
+
+
+def _log_harmonic_terms(x: int) -> tuple:
+    # g(t) = 1/(t log t): g^(m)(x) = (-1)^m m! g(x) P_m(y)/x^m, y = 1/log x
+    y = 1 / math.log(x)
+    p3 = 1 + y * (11 / 6 + y * (2 + y))
+    p5 = 1 + y * (137 / 60 + y * (15 / 4 + y * (17 / 4 + y * (3 + y))))
+    p7 = 1 + y * (363 / 140 + y * (469 / 90 + y * (967 / 120 + y * (28 / 3
+                                                             + y * (23 / 3 + y * (4 + y))))))
+    return y / x, (1 + y) / (12 * x), p3 / (120 * x ** 3), p5 / (252 * x ** 5), p7 / (240 * x ** 7)
+
+
 class GapProfile:
     """Base class: positive values g(k) for k >= 1 tending to 0, plus the
     origin value g0."""
@@ -289,6 +334,18 @@ class GapProfile:
 
     def spec(self) -> str:
         raise NotImplementedError
+
+    def _level_sum(self, k1: int, k2: int):
+        """(sum, bound) by a law of the doubles value(k), 1 <= k1 <= k < k2 < 2^53,
+        the bound on its distance from their exact sum; None without a law, and
+        ``flow`` crosses the runs level by level.  A subclass that redefines
+        ``value`` has no law unless it gives its own."""
+        return None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "value" in vars(cls) and "_level_sum" not in vars(cls):
+            cls._level_sum = GapProfile._level_sum
 
     def __repr__(self):
         return f"<GapProfile {self.spec()}>"
@@ -317,6 +374,11 @@ class Harmonic(GapProfile):
     @_series(MP_DPS)
     def bernoulli_series(self, lam):
         return _closed_form(-mp.mpf(self.l) * mp.log(_one_minus_x(lam)))
+
+    def _level_sum(self, k1, k2):
+        # l times the law of 1/k, whose bound covers the doubles l/k, and an ulp for the product
+        total, bound = _power_levels(1.0, k1, k2)
+        return self.l * total, self.l * (bound + 2.0 ** -52 * total)
 
     def spec(self):
         return f"harmonic:{self.l:g}"
@@ -367,6 +429,9 @@ class Power(GapProfile):
             value = mp.polylog(alpha, x)
             return value, _rounding(value, 2) + _rounding(x / _one_minus_x(lam) ** 2, 3)
         return _polylog_near_one(alpha, -2 * mp.log1p(-lam))
+
+    def _level_sum(self, k1, k2):
+        return _power_levels(self.alpha, k1, k2)
 
     def spec(self):
         return f"power:{self.alpha:g}"
@@ -419,6 +484,15 @@ class LogHarmonic(GapProfile):
         integral, truncation, rounding = _log_harmonic_integral(c, n)
         value = head + tail + integral
         return value, omitted + truncation + rounding + _rounding(value, 4 * n)
+
+    def _level_sum(self, k1, k2):
+        """``_em_levels`` from k1 >= 2 (g is completely monotone on t > 1; the c = 0
+        case of ``_log_harmonic_parts``): log log k2 - log log k1, the integral,
+        is log1p(log1p((k2-k1)/k1)/log k1), good to 8u."""
+        if k1 < 2:
+            return None
+        big = math.log1p(math.log1p((k2 - k1) / k1) / math.log(k1))
+        return _em_levels(k1, k2, big, 8, _log_harmonic_terms)
 
     def spec(self):
         return "logharmonic"

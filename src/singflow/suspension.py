@@ -25,6 +25,7 @@ VERTICAL = "vertical"
 HEIGHT_TOL = 1e-9
 _CHUNK = 1024   # columns per comparison step of bw_distances_upper: (2n)^2 x _CHUNK for 2n slots
 MAX_CROSSINGS = 10 ** 6
+_R = 64   # levels flow crosses one by one next to each 1 and before its landing
 
 
 class PairKindError(ValueError):
@@ -83,6 +84,54 @@ def _kadd(s: float, c: float, x: float) -> tuple[float, float]:
     return t, (t - s) - y
 
 
+def _jump(f: RoofFunction, a, b, pos: int, h: float, c: float,
+          back: bool) -> tuple[int, float, float]:
+    """(n, h, c): flow crosses the n levels from pos up (below pos if ``back``)
+    at once, taking the law's sum of their roofs off the compensated height h, c
+    (adding it if ``back``); n = 0 for none.  Between the 1s a and b (None:
+    none) the roof g(min(pos - a, b - pos)) rises to the run's middle and falls
+    after it: one law call per side.  A count is crossed if its law sum plus
+    bound stays below the height.  Counts into the last _R levels before the
+    far 1, or past 2^52 + _R on a zero tail, are not tried; of the rest,
+    galloping by factors of 16, then false position with Illinois' halving,
+    each probe _R/2 inside the bracket, find the largest crossed one to within
+    _R, and n is _R less.  A block past the crossing cap is crossed, and the
+    loop raises at its next step."""
+    law, height, far = f.profile._level_sum, -h if back else h, a if back else b
+    limit = 2 ** 52 + _R if far is None else abs(far - pos) - _R
+
+    def excess(n):  # (law sum plus bound less height, law sum) of n levels
+        lo, hi = (pos - n, pos) if back else (pos, pos + n)
+        m = lo if a is None else hi if b is None else min(max((a + b) // 2 + 1, lo), hi)
+        parts = (([law(lo - a, m - a)] if lo < m else [])
+                 + ([law(b - hi + 1, b - m + 1)] if m < hi else []))
+        if None in parts:
+            return math.nan, 0.0
+        total = sum(part[0] for part in parts)
+        return total + sum(part[1] for part in parts) + math.ulp(total) - height, total
+
+    lo, hi = 2 * _R, limit  # lo is crossed; hi is not, or is the last count
+    if lo > limit or not (e_lo := excess(lo)[0]) < 0:
+        return 0, h, c
+    if (e_hi := excess(hi)[0]) < 0:
+        lo = hi
+    side = 0  # the end that moved last: when it moves again, the other's excess halves
+    while hi - lo > _R:
+        w = e_lo / (e_lo - e_hi)
+        if hi <= 16 * lo and 0 < w < 1:  # false position
+            mid = lo + int((hi - lo) * w)
+        else:  # gallop, or bisect
+            mid = min(16 * lo, (lo + hi) // 2)
+        mid = min(max(mid, lo + _R // 2), hi - _R // 2)
+        e = excess(mid)[0]
+        if e < 0:
+            lo, e_lo, e_hi, side = mid, e, e_hi / 2 if side < 0 else e_hi, -1
+        else:
+            hi, e_hi, e_lo, side = mid, e, e_lo / 2 if side > 0 else e_lo, 1
+    total = excess(lo - _R)[1]
+    return (lo - _R, *_kadd(h, c, total if back else -total))
+
+
 def flow(p: FlowPoint, t: float, f: RoofFunction,
          max_crossings: int = MAX_CROSSINGS) -> FlowPoint:
     """Time-t image of p under the suspension flow, in canonical form.
@@ -91,6 +140,12 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
     crossing more than ``max_crossings`` roof levels raises FlowResourceError, and a time
     that is not finite raises ValueError.  Roofs come from the bracket a <= pos < b of the
     nearest 1s (None: unbounded), kept until pos leaves it, so a crossing costs O(1).
+    _R levels into a run of a profile with a law (``GapProfile._level_sum``), one step,
+    found in O(log n) law calls, crosses all but the last _R levels before the landing
+    and the next 1 (``_jump``); they count toward ``max_crossings``, and the loop
+    crosses the rest, so a flow over at most 2 _R levels of a run adds the same doubles
+    as without the law.  A constant roof has none: the loop's compensated
+    sum of c keeps the bits a rounded c n would lose.
     """
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t!r}")
@@ -98,28 +153,38 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
     if f.is_singular and base.is_zero():
         return p
     a, b = (None, None) if f.is_constant else base.ones_around(0)
-    crossings = 0
 
-    def cross_to(pos: int) -> float:  # the roof at pos, one crossing further
-        nonlocal a, b, crossings
-        crossings += 1
-        if crossings > max_crossings:
+    def cross_to(pos: int) -> float:  # the roof at pos, |pos| crossings on
+        nonlocal a, b, mark
+        if abs(pos) > max_crossings:
             raise FlowResourceError(f"more than {max_crossings} roof crossings")
-        if a is not None and pos < a or b is not None and pos >= b:
+        if a is not None and pos < a:
             a, b = base.ones_around(pos)
+            mark = b - _R  # where the law is tried, _R levels into the run
+        elif b is not None and pos >= b:
+            a, b = base.ones_around(pos)
+            mark = a + _R
         return roof_between(f, pos, a, b)
 
     pos = 0
     h, c = _kadd(p.height, 0.0, t)
     roof = roof_between(f, pos, a, b)
+    mark = None if f.is_constant else 1 if a is None else max(1, a + _R)
     while h >= roof:
         h, c = _kadd(h, c, -roof)
         pos += 1
+        if pos == mark:
+            n, h, c = _jump(f, a, b, pos, h, c, False)
+            pos += n
         roof = cross_to(pos)
+    mark = None if f.is_constant else -1 if b is None else min(-1, b - _R)
     while h < 0.0:
         pos -= 1
         roof = cross_to(pos)
         h, c = _kadd(h, c, roof)
+        if pos == mark:
+            n, h, c = _jump(f, a, b, pos, h, c, True)
+            pos -= n
     h = max(h + c, 0.0)  # no compensation dust below 0
     if h >= roof:
         pos += 1

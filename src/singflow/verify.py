@@ -13,6 +13,7 @@ range, checks taken in the documented order.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -25,7 +26,9 @@ _CHUNK = 1 << 15
 
 def _ranges(lo: int, hi: int, width: int = 0):
     """lo..hi as consecutive int64 arrays of about _CHUNK // width items; the
-    default width is that of a block walk, at most about 2 log2(gap) + 2 steps."""
+    default width is that of a block walk, at most about 2 log2(gap) + 2 steps.
+    Any integer bound works; a float raises TypeError."""
+    hi = operator.index(hi)
     if hi >= 1 << 30:  # the walks' limit, so that 8 k- k+ stays in int64
         raise ValueError(f"a sweep must end below 2^30, not at {hi}")
     if hi < max(lo, 1):
@@ -107,7 +110,8 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         kp = np.repeat(kps, kps - los)
         km = np.arange(kp.size) + np.repeat(los - np.searchsorted(kp, kps), kps - los)
         L = cdc._contracting_steps(km, kp)
-        signed = kp + km - ceil_sqrt_array(8 * km * (kp - L))
+        # a step past k+ fails the upper check; clamped, its defect stays defined
+        signed = kp + km - ceil_sqrt_array(np.maximum(8 * km * (kp - L), 0))
         # on these rows a broken lower bound makes 8 k- (k+ - L) > (k+ + k-)^2: defect < 0
         failed = (L > (kp + 1) // 2) | (signed < 0) | (signed > 4)
         if failed.any():
@@ -151,7 +155,7 @@ def codec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         if anomalies:
             return False, f"unexpected unencodable gaps {anomalies[:8]}"
         return True, f"gaps 1..{gap_max} roundtrip, all words distinct"
-    if anomalies != [1 << j for j in range(2, gap_max.bit_length())]:
+    if anomalies != [1 << j for j in range(2, operator.index(gap_max).bit_length())]:
         return False, f"anomaly set {anomalies[:8]}... differs from powers of two"
     return True, (f"non-anomalous gaps roundtrip; anomalies exactly the "
                   f"{len(anomalies)} powers of two >= 4")

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from singflow import (HORIZONTAL, VERTICAL, AdmissibleChain, BitSequence,
                       flowpoints_close, norm_height, pair_length, parse_roof_spec,
                       parse_sequence_literal, roof_eval, seq_distance, shift,
                       singular_point, unit_roof_extension)
-from singflow.suspension import HEIGHT_TOL
+from singflow.roofs import roof_between
+from singflow.suspension import _R, HEIGHT_TOL
 
 HARM = RoofFunction.from_profile(Harmonic(1.0))
 UNIT = RoofFunction.const(1.0)
@@ -177,11 +179,44 @@ ORACLE_ROOFS = [parse_roof_spec(s) for s in
 ORACLE_ROOFS.append(RoofFunction.from_profile(Geometric(0.05)))
 
 
+def law_tolerance(p, t, f, want):
+    """How far flow may land from the oracle: the law's bound over every level
+    flow may cross by its law, those at least _R levels from both 1s of their
+    run between the start and the oracle's landing (the bound of a block in a
+    side of a run is at most that of the side's whole range), plus 8 ulps of
+    |height| + |t| + 1 for the two Kahan loops (Higham, Thm 4.8).  0 where
+    no level may be crossed by a law: flow must then match bit for bit."""
+    if f.is_constant:
+        return 0.0
+    assert want.base.window == p.base.window, "the landing is read off the window's start"
+    lo, hi = sorted((0, p.base.start - want.base.start))
+    total = bound = 0.0
+    while lo < hi:
+        a, b = p.base.ones_around(lo)
+        left = lo if a is None else max(lo, a + _R)
+        right = hi if b is None else min(hi, b - _R)
+        mid = left if a is None else right if b is None else min(max((a + b) // 2 + 1, left), right)
+        for k1, k2 in ((left - a, mid - a) if left < mid else (0, 0),
+                       (b - right + 1, b - mid + 1) if mid < right else (0, 0)):
+            law = f.profile._level_sum(k1, k2) if k1 < k2 else None
+            if law is not None:
+                total, bound = total + law[0], bound + law[1]
+        lo = hi if b is None else b
+    return 0.0 if bound == 0.0 else bound + math.ulp(total) + 8 * 2.0 ** -52 * (
+        abs(p.height) + abs(t) + 1)
+
+
 def assert_flow_like_oracle(p, t, f, max_crossings=10 ** 6):
+    """flow against the oracle: bit for bit, or within ``law_tolerance`` where a
+    law may cross levels, on a level boundary read by ``flowpoints_close``."""
     want = oracle_flow(p, t, f, max_crossings)
     got = flow(p, t, f, max_crossings)
-    assert got.base == want.base and float.hex(got.height) == float.hex(want.height), \
-        (p, t, f.spec(), got, want)
+    tol = law_tolerance(p, t, f, want)
+    if tol == 0.0 or got.base != want.base:
+        assert got.base == want.base and float.hex(got.height) == float.hex(want.height) \
+            or tol and flowpoints_close(got, want, f, tol), (p, t, f.spec(), got, want, tol)
+    else:
+        assert abs(got.height - want.height) <= tol, (p, t, f.spec(), got, want, tol)
 
 
 def test_flow_matches_the_oracle_on_seeded_points():
@@ -232,6 +267,118 @@ def test_flow_runs_out_of_crossings_exactly_where_the_oracle_does():
             if lo:
                 with pytest.raises(FlowResourceError):
                     flow(p, t, f, lo - 1)
+
+
+# ---------------------------------------------------------------------------
+# The laws by which flow crosses whole levels of a zero run at once
+
+LAW_PROFILES = [parse_roof_spec(s).profile for s in
+                ("harmonic:1", "harmonic:0.37", "power:0.5", "power:1", "power:1.5",
+                 "power:3", "logharmonic")]
+
+
+def test_level_sums_lie_within_their_bounds_of_the_summed_doubles():
+    """Each law against math.fsum of the doubles value(k), within half an ulp
+    of their exact sum, from one level to 2^20 of them; past _R the bound is
+    below 1e-12 of the sum.  The log-harmonic law starts at 2."""
+    for g in LAW_PROFILES:
+        top = 2 ** 20 if g.spec() == "power:0.5" else 2 ** 16
+        values = [g.value(k) for k in range(1, top)]
+        for k1, k2 in ((1, 2), (1, 100), (2, 3), (2, 5000), (_R, _R + 1), (_R, 3 * _R),
+                       (_R, top), (100, 1000), (top // 2 - 7, top // 2 + 500), (top - 3, top)):
+            got = g._level_sum(k1, k2)
+            if k1 == 1 and g.spec() == "logharmonic":
+                assert got is None
+                continue
+            want = math.fsum(values[k1 - 1:k2 - 1])
+            assert abs(got[0] - want) <= got[1] + math.ulp(want) / 2, (g.spec(), k1, k2)
+            if k1 >= _R:
+                assert got[1] <= 1e-12 * want, (g.spec(), k1, k2)
+
+
+@pytest.mark.parametrize("spec", ["harmonic:1", "power:0.5", "power:1.5", "logharmonic"])
+def test_flow_matches_the_oracle_deep_in_a_long_run_and_the_zero_tails(spec):
+    """Flows over about 2000 levels, both ways, across the middle of a run of
+    2^20 zeros and 2^20 out on either zero tail of a single 1."""
+    f = parse_roof_spec(spec)
+    rng = np.random.default_rng(73)
+    n = 2 ** 20
+    for x, start in ((BitSequence.from_ones([0, n]), n // 2 - 1000),
+                     (BitSequence.from_ones([0]), n), (BitSequence.from_ones([0]), -n)):
+        a, b = x.ones_around(start)
+        p = flow_point(f, x.shifted(start), float(rng.uniform(0.0, roof_between(f, start, a, b))))
+        levels = math.fsum(roof_between(f, start + j, a, b) for j in range(2000))
+        for t in (levels, -levels):
+            assert_flow_like_oracle(p, t * float(rng.uniform(0.9, 1.0)), f)
+
+
+@pytest.mark.parametrize("spec", ["harmonic:1", "power:0.5", "logharmonic"])
+def test_a_flow_past_two_to_the_forty_zeros_returns_in_a_millisecond(spec):
+    """Out along the zero tail of one 1 for the law's time to 1.5 2^40
+    positions, and back, each in under 1 ms (best of 5): the flow lands
+    within a few levels of there and comes back within the two laws' bounds
+    and the Kahan loops' error."""
+    f = parse_roof_spec(spec)
+    g, far = f.profile, 3 * 2 ** 39
+    p = flow_point(f, BitSequence.from_ones([0]), 0.0)
+    head = math.fsum([g.g0] + [g.value(k) for k in range(1, _R)])
+    law, bound = g._level_sum(_R, far)
+    t = head + law
+    timings, back_timings = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        q = flow(p, t, f, max_crossings=2 ** 41)
+        t1 = time.perf_counter()
+        back = flow(q, -t, f, max_crossings=2 ** 41)
+        timings.append(t1 - t0)
+        back_timings.append(time.perf_counter() - t1)
+    assert min(timings) < 1e-3 and min(back_timings) < 1e-3, (timings, back_timings)
+    landing = p.base.start - q.base.start
+    assert abs(landing - far) <= 4
+    assert flowpoints_close(back, p, f, 2 * bound + 8 * 2.0 ** -52 * (t + 1))
+
+
+def test_flow_runs_out_of_crossings_inside_a_jumped_block():
+    """A cap inside the block flow crosses by its law, or one short of the
+    count the oracle needs, raises as the oracle does; that count suffices."""
+    x = BitSequence.from_ones([0, 2 ** 13])
+    for spec in ("harmonic:1", "power:0.5"):
+        f = parse_roof_spec(spec)
+        total = math.fsum(roof_eval(f, x, j) for j in range(2 ** 13))
+        for p, t in ((flow_point(f, x, 0.3), 0.7 * total),
+                     (flow_point(f, x.shifted(6000), 0.0), -0.7 * total)):
+            want = oracle_flow(p, t, f)
+            need = abs(p.base.start - want.base.start)
+            try:  # the last level may be met only by the landing's final step
+                oracle_flow(p, t, f, need - 1)
+                need -= 1
+            except FlowResourceError:
+                pass
+            assert need > 8 * _R
+            for cap in (need // 2, need - 1):
+                with pytest.raises(FlowResourceError):
+                    oracle_flow(p, t, f, cap)
+                with pytest.raises(FlowResourceError, match=f"^more than {cap} roof crossings$"):
+                    flow(p, t, f, cap)
+            assert_flow_like_oracle(p, t, f, need)
+
+
+def test_a_profile_that_redefines_its_values_crosses_level_by_level():
+    """A subclass with values of its own has no law until it gives one, and
+    the profiles without a law say so."""
+    class Shifted(Harmonic):
+        def value(self, k):
+            return 1.0 / (k + 1)
+
+    assert Shifted()._level_sum(_R, 4 * _R) is None
+    assert Harmonic()._level_sum(_R, 4 * _R) is not None
+    for spec in ("trunc:0.5:harmonic:1", "trunc:0.2:power:0.7"):
+        assert parse_roof_spec(spec).profile._level_sum(_R, 4 * _R) is None
+    assert Geometric(0.5)._level_sum(_R, 4 * _R) is None
+    f = RoofFunction.from_profile(Shifted())
+    p = flow_point(f, BitSequence.from_ones([0, 2 ** 13]), 0.2)
+    assert law_tolerance(p, 12.0, f, oracle_flow(p, 12.0, f)) == 0.0
+    assert_flow_like_oracle(p, 12.0, f)
 
 
 def test_canonical_height_validation():

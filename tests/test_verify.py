@@ -6,6 +6,7 @@ library's scalar law; the lockstep walks with the scalar ``return_profile``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,23 @@ def test_z1_out_of_range_is_a_typed_error_and_a_cli_error(monkeypatch, capsys):
         assert captured.out == ""
     assert main(["codec", "roundtrip", "--gap-max", "100"]) == 1
     assert capsys.readouterr().out == "codec FAIL  gap 5: z1 out of range (-1)\n"
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_take_any_integer_bound_and_refuse_a_float(name):
+    fn = SUITES[name]
+    want = fn(100, 30, ADJUSTED)
+    assert want[0]
+    for kind in (np.int64, np.int32, np.uint16):
+        assert fn(kind(100), kind(30), ADJUSTED) == want
+    with pytest.raises(TypeError):
+        fn(100.0, 30.0, ADJUSTED)
+
+
+def test_injec_names_an_overshooting_step_without_numpy_warnings(monkeypatch):
+    """A contracting step past k+ would put a negative value under the root of
+    the defect; the upper step bound names its row first, and nothing warns."""
+    monkeypatch.setattr(cdc, "_contracting_steps", _overshooting_r3_step)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SUITES["injec"](0, 300, ADJUSTED) == (False, "upper step bound broken at k+=5")
