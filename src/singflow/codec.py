@@ -551,7 +551,7 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     boundary: both conventions walk the same offsets across a block."""
     _check_boundary(boundary)
     _code_letters(u.window + u.left + u.right)
-    leads = [tuple(int(l.y == 1) for l in w) for w in (u.window, u.left, u.right)]
+    leads = [bytes(l.y == 1 for l in w) for w in (u.window, u.left, u.right)]
     lead = BitSequence(leads[0], u.start, *leads[1:])  # a 1 at each block leader of u
     # the image of the zero sequence wins its collision with the all-ones one
     if lead.is_zero() or not u.window and u.left == (ONE_X,) == u.right:
@@ -571,9 +571,9 @@ def decode_sequence(u: SymbolSequence, boundary: str = ADJUSTED) -> BitSequence:
     g = decode_position(u.segment(lo, hi), -lo, no_ones_left=not left, no_ones_right=not right)
     first_bit = g.k_plus if k == 0 else -g.k_minus - sum(len(blocks[a]) for a in middle[:k - 1])
 
-    window = _joined(middle, blocks) + (() if right else (1,))
-    return BitSequence(window, first_bit, _joined(left, blocks) or (0,),
-                       _joined(right, blocks) or (0,))
+    joined = lambda marks: b"".join([blocks[a] for a in marks[:-1]])
+    return BitSequence(joined(middle) + (b"" if right else b"\x01"), first_bit,
+                       joined(left) or b"\x00", joined(right) or b"\x00")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ is of this shape, so equality, shifts and coordinate lookups are exact.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -24,16 +25,64 @@ class SequenceFormatError(ValueError):
     """Raised for malformed textual sequence literals."""
 
 
-def _primitive(word: tuple) -> tuple:
-    """Smallest word whose repetition equals ``word``, from its prefix function (KMP)."""
-    k, pi = 0, [0]
-    for s in word[1:]:
-        while k and s != word[k]:
-            k = pi[k - 1]
-        k += s == word[k]
-        pi.append(k)
-    p = len(word) - k
-    return word[:p] if word and len(word) % p == 0 else word
+def _primitive(word):
+    """Smallest word whose repetition equals ``word``.  A word of length n
+    is a proper power iff it has period n/q for a prime q dividing n, so
+    one slice comparison per prime factor of n finds its root."""
+    n = m = len(word)  # n: the root's length so far; m: the factors left to try
+    q = 2
+    while m > 1:
+        if q * q > m:
+            q = m
+        if m % q:
+            q += 1
+        else:
+            m //= q
+            if word[n // q:n] == word[:n - n // q]:
+                n //= q
+    return word[:n]
+
+
+def _agree(a, b) -> int:
+    """Common prefix length of a and the longer b, whose first symbols agree,
+    by slice comparisons that double after a match and halve after a miss."""
+    m, i, k = len(a), 1, 1
+    while i + k <= m and a[i:i + k] == b[i:i + k]:
+        i, k = i + k, 2 * k
+    while k > 1:
+        k //= 2
+        if i + k <= m and a[i:i + k] == b[i:i + k]:
+            i += k
+    return i
+
+
+def _normal_form(window, start: int, left, right) -> tuple:
+    """(window, start, left, right) in normal form, the words all bytes or
+    all tuples: tails reduced to their roots, window symbols a tail predicts
+    absorbed into it (rotating it to stay anchored at the window edge), and
+    an empty window slid left while the right tiling predicts the symbol
+    before it.  By Fine-Wilf, tilings of periods p and q that agree on p + q
+    symbols agree everywhere: one periodic word, anchored at coordinate 0."""
+    left, right = _primitive(left), _primitive(right)
+    if not left or not right:
+        raise ValueError("tail words must be nonempty")
+    p, q = len(left), len(right)
+    if window and window[0] == left[0]:
+        i = _agree(window, left * (len(window) // p + 1))
+        window, start, k = window[i:], start + i, i % p
+        left = left[k:] + left[:k]
+    if window and window[-1] == right[-1]:
+        j = _agree(window[::-1], right[::-1] * (len(window) // q + 1))
+        window, k = window[:len(window) - j], -j % q
+        right = right[k:] + right[:k]
+    if not window and left[-1] == right[-1]:
+        s = _agree((left[::-1] * (q // p + 2))[:p + q], right[::-1] * (p // q + 2))
+        if s == p + q:
+            k = -start % q
+            return window, 0, right[k:] + right[:k], right[k:] + right[:k]
+        start, k, j = start - s, -s % p, -s % q
+        left, right = left[k:] + left[:k], right[j:] + right[:j]
+    return window, start, left, right
 
 
 def _tile(word: tuple, i: int, j: int) -> tuple:
@@ -48,61 +97,37 @@ class SymbolSequence:
     """Bi-infinite sequence over an arbitrary alphabet, eventually periodic
     on both sides.
 
-    Construction canonicalizes: tail words are reduced to their primitive
-    root and window symbols already described by a tail are absorbed into
-    it, so the window cannot be shortened without changing the sequence.
-    An empty window sits at the leftmost coordinate from which the right
-    tail repeats.  The representation is therefore unique: equality and
-    hashing compare descriptions.  Values are immutable after construction.
+    Construction canonicalizes (``_normal_form``): tail words are reduced
+    to their primitive root and window symbols already described by a tail
+    are absorbed into it, so the window cannot be shortened without changing
+    the sequence.  An empty window sits at the leftmost coordinate from
+    which the right tail repeats.  The representation is therefore unique:
+    equality and hashing compare descriptions.  It is found by slice
+    comparisons, O(log n) for n absorbed symbols and one per prime factor of
+    a tail's length: linear time in the description, spent in C.  ``start``
+    is any integer (``operator.index``).  Values are immutable.
     """
 
     __slots__ = ("window", "start", "left", "right")
 
     def __init__(self, window=(), start=0, left=(0,), right=(0,)):
-        window = tuple(window)
-        left = _primitive(tuple(left))
-        right = _primitive(tuple(right))
-        if not left or not right:
-            raise ValueError("tail words must be nonempty")
-        # Absorb window symbols the tails already predict.  Absorbing i
-        # symbols rotates the adjacent tail word by i so its anchoring at the
-        # window edge stays consistent; count them first, then cut once.
-        n, i = len(left), 0
-        while i < len(window) and window[i] == left[i % n]:
-            i += 1
-        if i:
-            window, start = window[i:], start + i
-            left = left[i % n:] + left[:i % n]
-        n, j, m = len(right), 0, len(window)
-        while j < m and window[m - 1 - j] == right[-1 - j % n]:
-            j += 1
-        if j:
-            window = window[:m - j]
-            right = right[n - j % n:] + right[:n - j % n]
-        if not window:
-            start, left, right = self._normalize_empty(start, left, right)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        window, left, right = self._words(window, left, right)
+        self._store(*_normal_form(window, operator.index(start), left, right))
+
+    @staticmethod
+    def _words(window, left, right):
+        """The three words of a description, in the type ``_normal_form`` reads."""
+        return tuple(window), tuple(left), tuple(right)
+
+    def _store(self, window, start, left, right):
+        set_ = object.__setattr__
+        set_(self, "window", window)
+        set_(self, "start", start)
+        set_(self, "left", left)
+        set_(self, "right", right)
 
     def __setattr__(self, name, value):
         raise AttributeError("sequences are immutable")
-
-    @staticmethod
-    def _normalize_empty(start, left, right):
-        """Slide the start left while the right tiling still predicts the
-        symbol before it, so the representation is unique.  Sliding a full
-        common period means the two tilings agree everywhere: the sequence
-        is one periodic word, anchored at coordinate 0."""
-        for _ in range(math.lcm(len(left), len(right))):
-            if right[-1] != left[-1]:
-                return start, left, right
-            start -= 1
-            left, right = left[-1:] + left[:-1], right[-1:] + right[:-1]
-        k = -start % len(right)
-        word = right[k:] + right[:k]
-        return 0, word, word
 
     @property
     def end(self) -> int:
@@ -121,7 +146,8 @@ class SymbolSequence:
 
     def shifted(self, n: int) -> "SymbolSequence":
         """Sequence y with y_m = x_{m+n}; O(1) but for an empty window, which
-        ``_normalize_empty`` re-anchors: the normal form commutes with the shift."""
+        the constructor re-anchors: the normal form commutes with the shift."""
+        n = operator.index(n)
         if not self.window:
             return type(self)((), self.start - n, self.left, self.right)
         y = object.__new__(type(self))
@@ -155,16 +181,24 @@ class BitSequence(SymbolSequence):
 
     __slots__ = ("_wbytes", "_left2", "_right2")
 
-    def __init__(self, window=(), start=0, left=(0,), right=(0,)):
-        super().__init__(window, start, left, right)
-        try:  # bytes() refuses non-integers and integers outside 0..255
-            rows = [bytes(w) for w in (self.window, self.left * 2, self.right * 2)]
-        except (TypeError, ValueError):
-            rows = None
-        if rows is None or any(row.translate(None, b"\x00\x01") for row in rows):
+    @staticmethod
+    def _words(window, left, right):
+        """The three words as bytes, each checked to hold 0/1 symbols."""
+        try:
+            words = _bit_row(window), _bit_row(left), _bit_row(right)
+        except (TypeError, ValueError):  # a non-integer, or an integer past 0..255
+            raise ValueError("bit sequences hold 0/1 symbols") from None
+        if b"".join(words).translate(None, b"\x00\x01"):
             raise ValueError("bit sequences hold 0/1 symbols")
-        for name, row in zip(BitSequence.__slots__, rows):
-            object.__setattr__(self, name, row)
+        return words
+
+    def _store(self, window, start, left, right):
+        """Keep the byte rows of the normal form beside its public tuples."""
+        set_ = object.__setattr__
+        set_(self, "_wbytes", window)
+        set_(self, "_left2", left * 2)
+        set_(self, "_right2", right * 2)
+        SymbolSequence._store(self, tuple(window), start, tuple(left), tuple(right))
 
     @classmethod
     def zero(cls) -> "BitSequence":
@@ -177,10 +211,10 @@ class BitSequence(SymbolSequence):
         if not positions:
             return cls(left=left, right=right)
         lo = min(positions)
-        window = [0] * (max(positions) - lo + 1)
+        window = bytearray(max(positions) - lo + 1)
         for n in positions:
             window[n - lo] = 1
-        return cls(window, lo, left, right)
+        return cls(bytes(window), lo, left, right)
 
     @classmethod
     def periodic(cls, word) -> "BitSequence":
@@ -214,6 +248,11 @@ class BitSequence(SymbolSequence):
         km = INF if a is None or pos - a > MAX_GAP else pos - a
         kp = INF if b is None or b - pos > MAX_GAP else b - pos
         return GapPair(km, kp)
+
+
+def _bit_row(word) -> bytes:
+    """``word`` as bytes, read symbol by symbol, never as an int array's buffer."""
+    return word if type(word) is bytes else bytes(tuple(word))
 
 
 def _tail_one(word2: bytes, anchor: int, p: int, after: bool):

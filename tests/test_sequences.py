@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from singflow import (BitSequence, FlowPoint, SequenceFormatError, SymbolSequenc
                       format_sequence_literal, gap_pair, parse_roof_spec,
                       parse_sequence_literal, roof_eval, seq_distance, shift)
 from singflow.sequences import MAX_GAP, _primitive
+from sequence_oracle import normal_form, normalize_empty
 
 INF = math.inf
 
@@ -140,7 +142,43 @@ def test_from_ones_places_ones_at_exactly_the_given_coordinates():
         lo, hi = min(ones), max(ones)
         window = tuple(1 if n in ones else 0 for n in range(lo, hi + 1))
         assert x == BitSequence(window, lo, left, right)
+        assert x == BitSequence(list(window), lo, list(left), list(right))
         assert x.segment(lo, hi + 1) == window
+    far = BitSequence.from_ones([0, 2 ** 20], (1, 0), (0, 1, 1))
+    assert far == BitSequence([1] + [0] * (2 ** 20 - 1) + [1], 0, [1, 0], [0, 1, 1])
+
+
+def test_integer_starts_and_shifts_of_any_type_act_as_ints():
+    x = BitSequence((1, 0, 1), np.int64(3))
+    assert type(x.start) is int and x == BitSequence((1, 0, 1), 3)
+    assert x.shifted(2 ** 70).start == 3 - 2 ** 70
+    assert x.shifted(np.int64(-5)) == BitSequence((1, 0, 1), 8)
+    assert BitSequence.periodic((1, 0)).shifted(np.int32(3)) == BitSequence.periodic((0, 1))
+    assert SymbolSequence(("a",), np.int8(2), ("b",), ("c",)).start == 2
+    for bad in (2.5, 3.0, "3"):
+        for cls, window in ((BitSequence, (1,)), (SymbolSequence, ("a",))):
+            with pytest.raises(TypeError):
+                cls(window, bad)
+        with pytest.raises(TypeError):
+            x.shifted(bad)
+
+
+def test_bits_given_as_bools_or_numpy_integers_are_kept_as_ints():
+    want = BitSequence((1, 0, 1, 1), -2, (0, 1), (1, 0, 0))
+    for conv in (bool, np.int64, np.uint8):
+        x = BitSequence(*(tuple(map(conv, w)) if isinstance(w, tuple) else w
+                          for w in ((1, 0, 1, 1), -2, (0, 1), (1, 0, 0))))
+        assert x == want and hash(x) == hash(want) and repr(x) == repr(want)
+        assert all(type(s) is int for s in x.window + x.left + x.right)
+    # an integer array is read symbol by symbol, never as its raw buffer
+    assert BitSequence(np.array([1, 0, 1, 1]), -2, np.array([0, 1]), [1, 0, 0]) == want
+
+
+def test_shifting_a_long_periodic_word_slides_once():
+    x = BitSequence.periodic((1,) + (0,) * 3999)
+    y = x.shifted(1)
+    assert (y.window, y.start, y.left, y.right) == normal_form((), -1, x.left, x.right)
+    assert min(timeit.repeat(lambda: x.shifted(1), number=1, repeat=5)) < 5e-3
 
 
 def test_gap_pair_shift_identity_small_gaps_exhaustive():
@@ -435,7 +473,7 @@ def _canonical_by_rotation(window, start, left, right):
         window = window[:-1]
         right = right[-1:] + right[:-1]
     if not window:
-        start, left, right = SymbolSequence._normalize_empty(start, left, right)
+        start, left, right = normalize_empty(start, left, right)
     return window, start, left, right
 
 
