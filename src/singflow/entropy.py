@@ -82,6 +82,7 @@ def shannon_binary(lam: float) -> float:
 
 
 _ULP = 2.0 ** -53  # unit roundoff of a double
+_TINY = 2.0 ** -1074  # below 2^-1022 a rounding to a double errs by up to half this
 
 
 def _integral_with_bound(lam: float, g: GapProfile) -> tuple[float, float]:
@@ -95,8 +96,8 @@ def _integral_with_bound(lam: float, g: GapProfile) -> tuple[float, float]:
         total = mp.mpf(g.g0) * mlam + weight * series
         value = float(total)
         # the series' bound carried through its weight, a few roundings of
-        # the assembly, and the rounding to a double
-        bound = float(weight * series_bound + 8 * abs(total) * mp.eps) + abs(value) * _ULP
+        # the assembly, and the roundings to a double of the value and the bound
+        bound = float(weight * series_bound + 8 * abs(total) * mp.eps) + abs(value) * _ULP + _TINY
     return value, bound
 
 
@@ -119,11 +120,12 @@ def flow_entropy_bernoulli(lam: float, g: GapProfile) -> EntropyReport:
     ``error_bound`` is the value times the integral's relative bound plus
     the rounding of ``shannon_binary`` (5 units: each of its terms is a
     logarithm within an ulp and two or three more roundings, and the terms
-    share a sign) and one unit for the quotient."""
+    share a sign) and one unit for the quotient; below 2^-1022 each of the 5
+    may err by _TINY instead, which the quotient divides by the integral."""
     integral, bound = _integral_with_bound(lam, g)
     value = abramov(shannon_binary(lam), integral)
     rel = bound / integral + 6 * _ULP
-    return EntropyReport(value, g.series_kind, error_bound=abs(value) * rel)
+    return EntropyReport(value, g.series_kind, error_bound=abs(value) * rel + 5 * _TINY / integral)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import mpmath as mp
 
@@ -126,16 +127,36 @@ def _log_harmonic_parts(n: int, terms: int, prec: int) -> tuple:
 
 
 _GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)  # keeps its nodes, made on first use
-# (offset d from the centre, weight, e^d) of the 24 nodes on a panel, per width and precision
-_gauss_panel = functools.cache(lambda width, prec: [
-    (d, w, mp.exp(d)) for d, w in _GAUSS.get_nodes(-width / 2, width / 2, 4, prec)])
-# (v, w e^(-e^v)) of the 24 nodes on the knee panel [1.25 j, 1.25 (j+1)], per j and precision
-_knee_panel = functools.cache(lambda j, prec: [
-    (v, w * mp.exp(-mp.exp(v))) for v, w in _GAUSS.get_nodes(1.25 * j, 1.25 * (j + 1), 4, prec)])
+_GUARD = 10  # the integer panel sums run in units of 2^-B, B = prec + _GUARD
 
 
-def _gauss_bound(h, m, growth):
-    # Trefethen's bound for 24 nodes on [m-h, m+h], rho = 5, |1/u| <= 1/(m - 2.6h)
+@functools.lru_cache(maxsize=4096)
+def _panel_table(i: int, span: int, prec: int) -> tuple:
+    """The integer kernel of the cell [1.25 i, 1.25 (i+span)] of the knee
+    frame at ``prec`` bits, made on first use: (V, W) with V_k = round(v_k 2^B)
+    and W_k = round(w_k e^{-e^{v_k}} 2^{2B}), B = prec + _GUARD, for its 24
+    Gauss-Legendre nodes v_k and weights w_k, evaluated at B + 20 bits."""
+    bits = prec + _GUARD
+    with mp.workprec(bits + 20):
+        nodes = _GAUSS.get_nodes(1.25 * i, 1.25 * (i + span), 4, bits + 20)
+        return (tuple(int(mp.nint(mp.ldexp(v, bits))) for v, _ in nodes),
+                tuple(int(mp.nint(mp.ldexp(w * mp.exp(-mp.exp(v)), 2 * bits))) for v, w in nodes))
+
+
+def _top_cells():
+    """The top cells (i, span) of the knee frame, right to left: the knee grid
+    j = 3..-3, then cells 1.25 * 2^k wide doubling leftwards from -3.75."""
+    yield from ((j, 1) for j in range(3, -4, -1))
+    span = 1
+    while True:
+        yield -2 - 2 * span, span
+        span *= 2
+
+
+def _gauss_bound(h, m, reach):
+    # Trefethen's bound for 24 nodes on [m-h, m+h], rho = 5: |1/u| <= 1/(m - 2.6h), and
+    # |e^{-e^v}| <= 1 if 2.4h <= pi/2, else e^{e^reach}, reach the ellipse's right end in v
+    growth = 1 if 2.4 * h <= math.pi / 2 else math.exp(math.exp(reach))
     return 64 / 15 * h * growth / (m - 2.6 * h) / (24 * 5 ** 46)
 
 
@@ -143,59 +164,83 @@ def _log_harmonic_integral(c, n: int) -> tuple:
     """(value, truncation bound, rounding bound) of the integral of
     e^{-ct}/(t log t) over [n, inf), n >= 64: of f(u) = e^{-c e^u}/u from
     log n, in the knee frame v = u - L, L = log(1/c), where the knee
-    c e^u = 1 sits at v = 0 for every c.  24-point Gauss-Legendre panels:
-    * knee panels on the fixed grid v in [1.25 j, 1.25 (j+1)], j = -3..3,
-      from the first grid point at or past log n.  There e^{-c e^u} =
-      e^{-e^v} does not depend on c, so w e^{-e^v} is kept per (j, precision)
-      and a node costs one add and one division, 1/(L + v);
-    * left of the grid, panels 1.25 * 2^j wide from log n, at most their
-      distance to the pole u = 0 and half that to the knee; e^d per node
-      offset d is kept per width, so a node costs one exp.  The last is cut
-      to end at the seam L + 1.25 j0 and pays a second exp for its e^d.
-    There are no panels when log n lies past the grid.  The rule on [m-h, m+h]
-    errs by at most (64/15) h M rho^-46/(rho^2-1), rho = 5 (Trefethen, SIAM
-    Review 50, 2008, Thm 4.5), where on the Bernstein ellipse Re u in m -+ 2.6h,
-    |Im u| <= 2.4h, |1/u| <= 1/(m-2.6h) and |e^{-c e^u}| is at most 1 if
-    2.4h <= pi/2, else e^{c e^(m+2.6h)}.  Past the last point U the integral
-    is below e^{-c e^U}/(c e^U U).  Rounding (README, "Bernoulli series"): a
-    left panel sum s ending at b is good to eps s (9 + 4b (1 + c e^b)); a knee
-    panel sum s ending at v_end to eps s (8 + 2 e^v_end), anchored at the exact
-    log(1/c), from which the rounded L moves 1/u's node by at most eps L; the
-    seam between the two moves by at most 3 eps e^{-0.99 e^{1.25 j0}}."""
-    lo, knee, prec = mp.log(n), -mp.log(c), mp.mp.prec
-    j0 = max(-3, math.ceil(float(lo - knee) / 1.25))  # the first grid point at or past log n
-    if knee + 1.25 * j0 < lo:  # the float quotient rounded down onto a grid point
-        j0 += 1
-    j0 = min(j0, 4)  # 4: no knee panel
-    seam, offset, sums, truncation, rounding = knee + 1.25 * j0, 0.0, [], 0, 0
-    while lo + offset < seam:
-        at, width = float(lo) + offset, 1.25
-        while 2 * width <= min(at, (float(knee) - at) / 2):
-            width *= 2
-        if lo + (offset + width) <= seam:
-            h, nodes = width / 2, _gauss_panel(width, prec)
-            m, b = lo + (offset + h), lo + (offset + width)
-        else:  # the last one, cut at the seam
-            h = (seam - (lo + offset)) / 2
-            m, b = seam - h, seam
-            nodes = [(h * x, h * w, mp.exp(h * x)) for x, w in _GAUSS.get_nodes(-1, 1, 4, prec)]
+    c e^u = 1 sits at v = 0 for every c, so f = e^{-e^v}/(L + v).  24-point
+    Gauss-Legendre panels on the cells of a fixed grid in v, whose ends are
+    multiples of 1.25: the knee grid [1.25 j, 1.25 (j+1)], j = -3..3, then,
+    left of -3.75, cells 1.25 * 2^k wide, doubling leftwards, each ending at
+    least its own width left of the knee.  A cell whose part right of log n
+    is wider than its left end u is halved, on the same grid, so the panels
+    keep clear of the pole.  The cells from log n to L + 5 are taken; none
+    when log n lies past L + 5.
+    * A cell right of log n is lambda-free: e^{-e^v} and its nodes v_k do not
+      depend on c, so ``_panel_table`` keeps V_k and W_k, L is rounded once to
+      L_B = round(L 2^B), and the panel is sum_k W_k // (L_B + V_k) in units
+      of 2^-B: one integer division per node, exact integer sums over all
+      such panels, one conversion to mpf.
+    * The panel holding log n is cut to start there and is summed in mpf, a
+      node paying two exps: e^{-c e^m e^d} at offset d from its centre m.
+    The rule on [m-h, m+h] errs by at most (64/15) h M rho^-46/(rho^2-1),
+    rho = 5 (Trefethen, SIAM Review 50, 2008, Thm 4.5), where on the
+    Bernstein ellipse Re u in m -+ 2.6h, |Im u| <= 2.4h, |1/u| <= 1/(m-2.6h)
+    <= 1/(0.4h) as no panel is wider than its left end, and
+    |e^{-c e^u}| = |e^{-e^v}| <= e^{e^{Re v}} <= e^{e^{m_v + 2.6h}} (1 if
+    2.4h <= pi/2, as on every cell 1.25 wide): in the knee frame this does
+    not depend on c, and it stays below e^{e^{-2.75}} left of the knee grid.
+    Past the last point U the integral is below e^{-c e^U}/(c e^U U).
+    Rounding, in units eps = 2^(1-prec) and delta = 2^-B = eps/2048: L_B is
+    within 1 of 2^B L (L at B + 40 bits, |L| < 2^38) and V_k within 1 of
+    2^B v_k (|v_k| < 2^19), so L_B + V_k is 2^B u_k within 2, a relative
+    delta/2 as u_k >= log 64 > 4; W_k is within 1/2 and a relative delta/2 of
+    its value (at B + 20 bits, the node's error magnified by at most e^5 in
+    e^{-e^v}); each floor loses less than one unit.  So a lambda-free panel
+    of exact rule value Q is good to 25 delta + delta Q, and with the
+    conversion and the final addition the P such panels of total V are good
+    to eps (P/64 + 3V).  The cut panel sum s ending at b is good to
+    eps s (9 + 4b (1 + c e^b)) (README, "Bernoulli series").  Where a rounded
+    end meets the exact grid, at log n and at the cut panel's end b, within
+    eps u + 2 delta of its place, |f| <= 1/u: 3 eps."""
+    lo, prec = mp.log(n), mp.mp.prec
+    bits = prec + _GUARD
+    with mp.workprec(bits + 40):
+        knee = int(mp.nint(mp.ldexp(-mp.log(c), bits)))  # L_B
+    # log n and 1.25 in units of 2^-B, and L as a float for the Gauss bounds
+    start, step, knee_f = int(mp.nint(mp.ldexp(lo, bits))), 5 << (bits - 2), knee / 2 ** bits
+    total, panels, cut, truncation = 0, 0, None, 0
+    for cell in _top_cells():
+        if knee + sum(cell) * step <= start:
+            break
+        cells = [cell]
+        while cells:
+            i, span = cells.pop()
+            left, right = knee + i * step, knee + (i + span) * step
+            if right <= start:
+                continue
+            if right > 2 * max(left, start):  # wider than its left end: halve it
+                span //= 2
+                cells += [(i, span), (i + span, span)]
+            elif left < start:
+                cut = right
+            else:
+                vs, ws = _panel_table(i, span, prec)
+                total += sum(map(operator.floordiv, ws, map(knee.__add__, vs)))
+                panels += 1
+                h = 0.625 * span
+                truncation += _gauss_bound(h, knee_f + 1.25 * i + h, 1.25 * i + 3.6 * h)
+    value = mp.ldexp(total, -bits)
+    rounding = panels / 64 + 3 * value + 3  # the last 3: the seams
+    if cut is not None:
+        b = mp.ldexp(cut, -bits)
+        h = (b - lo) / 2
+        m = lo + h
+        nodes = [(h * x, h * w, mp.exp(h * x)) for x, w in _GAUSS.get_nodes(-1, 1, 4, prec)]
         decay = -c * mp.exp(m)
         s = mp.fdot((mp.exp(decay * e) / (m + d), w) for d, w, e in nodes)
         rounding += s * (9 + 4 * b * (1 + c * mp.exp(b)))
-        growth = 1 if 2.4 * h <= math.pi / 2 else mp.exp(c * mp.exp(m + 2.6 * h))
-        truncation += _gauss_bound(h, m, growth)
-        sums.append(s)
-        offset += width
-    for j in range(j0, 4):
-        s = mp.fsum(k / (knee + v) for v, k in _knee_panel(j, prec))
-        rounding += s * (8 + 2 * math.exp(1.25 * (j + 1)))
-        truncation += _gauss_bound(0.625, knee + (1.25 * j + 0.625), 1)
-        sums.append(s)
-    if j0 < 4:
-        rounding += 3 * math.exp(-0.99 * math.exp(1.25 * j0))
-    end = max(lo, knee + 5)
+        truncation += _gauss_bound(h, m, float(m + 2.6 * h) - knee_f)
+        value += s
+    end = max(lo, mp.ldexp(knee + 4 * step, -bits))
     top = c * mp.exp(end)
-    return mp.fsum(sums), truncation + mp.exp(-top) / (top * end), rounding * mp.eps
+    return value, truncation + mp.exp(-top) / (top * end), rounding * mp.eps
 
 
 def _one_minus_x(lam: mp.mpf) -> mp.mpf:

@@ -347,6 +347,34 @@ def test_scan_target_is_the_fiber_entropy_over_the_accelerated_roof(spec, l):
         assert abs(derived - 1 / (2 * l)) <= 2 * math.ulp(1 / (2 * l)), (spec, derived)
 
 
+def oracle_entropy_at(lam, profile):
+    """h(lam) over the roof integral at 40 digits: the base entropy in mpmath
+    from the exact double lam, and g0 lam + lam (2-lam)/(1-lam) times the
+    series, the harmonic one in closed form and the others the library's
+    (each checked against its own oracles in test_roofs.py, and good to far
+    below a double here)."""
+    with mp.workdps(40):
+        mlam = mp.mpf(lam)
+        if isinstance(profile, Harmonic):
+            series = -profile.l * mp.log(mlam * (2 - mlam))
+        else:
+            series = profile.bernoulli_series(mlam)
+        integral = profile.g0 * mlam + mlam * (2 - mlam) / (1 - mlam) * series
+        return (-mlam * mp.log(mlam) - (1 - mlam) * mp.log1p(-mlam)) / integral
+
+
+@pytest.mark.parametrize("spec", ["harmonic:1", "power:0.5", "power:2", "logharmonic",
+                                  "trunc:0.3:logharmonic"])
+def test_error_bound_holds_for_subnormal_lambda(spec):
+    """Below 2^-1022 a rounding to a double errs by up to half the subnormal
+    spacing, not by a relative ulp: the bound still covers the error."""
+    profile = parse_roof_spec(spec).profile
+    for lam in (1e-300, 1e-310, 1e-320, 5e-324):
+        report = flow_entropy_bernoulli(lam, profile)
+        oracle = oracle_entropy_at(lam, profile)
+        assert abs(report.value - oracle) <= report.error_bound, (spec, lam)
+
+
 def test_sex_entropy_formula():
     dirac = FlowMeasureSpec.dirac_at_singularity()
     assert sex_entropy_formula(dirac, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)

@@ -388,6 +388,81 @@ def test_knee_grid_integral_matches_the_panel_oracle():
     assert any(p > 5 for p in places)  # past the grid: no panel at all
 
 
+# (v, w e^(-e^v)) of the 24 nodes on the knee panel [1.25 j, 1.25 (j+1)], per j and precision
+_oracle_knee_panel = functools.cache(lambda j, prec: [
+    (v, w * mp.exp(-mp.exp(v)))
+    for v, w in _ORACLE_GAUSS.get_nodes(1.25 * j, 1.25 * (j + 1), 4, prec)])
+
+
+def knee_grid_log_harmonic_integral(c, n):
+    """Oracle: the log-harmonic integral as the library computed it before
+    its integer panel sums, (value, truncation bound, rounding bound).  Knee
+    panels on the fixed grid v in [1.25 j, 1.25 (j+1)], j = -3..3, of the knee
+    frame v = u - log(1/c), each node one add and one mpf division; left of
+    the grid pole-anchored panels 1.25 * 2^j wide from log n, the last cut at
+    the seam, each node paying an exp."""
+    lo, knee, prec = mp.log(n), -mp.log(c), mp.mp.prec
+    j0 = max(-3, math.ceil(float(lo - knee) / 1.25))  # the first grid point at or past log n
+    if knee + 1.25 * j0 < lo:  # the float quotient rounded down onto a grid point
+        j0 += 1
+    j0 = min(j0, 4)  # 4: no knee panel
+    seam, offset, sums, truncation, rounding = knee + 1.25 * j0, 0.0, [], 0, 0
+
+    def gauss_bound(h, m, growth):
+        return 64 / 15 * h * growth / (m - 2.6 * h) / (24 * 5 ** 46)
+
+    while lo + offset < seam:
+        at, width = float(lo) + offset, 1.25
+        while 2 * width <= min(at, (float(knee) - at) / 2):
+            width *= 2
+        if lo + (offset + width) <= seam:
+            h, nodes = width / 2, _oracle_panel(width, prec)
+            m, b = lo + (offset + h), lo + (offset + width)
+        else:  # the last one, cut at the seam
+            h = (seam - (lo + offset)) / 2
+            m, b = seam - h, seam
+            nodes = [(h * x, h * w, mp.exp(h * x))
+                     for x, w in _ORACLE_GAUSS.get_nodes(-1, 1, 4, prec)]
+        decay = -c * mp.exp(m)
+        s = mp.fdot((mp.exp(decay * e) / (m + d), w) for d, w, e in nodes)
+        rounding += s * (9 + 4 * b * (1 + c * mp.exp(b)))
+        growth = 1 if 2.4 * h <= math.pi / 2 else mp.exp(c * mp.exp(m + 2.6 * h))
+        truncation += gauss_bound(h, m, growth)
+        sums.append(s)
+        offset += width
+    for j in range(j0, 4):
+        s = mp.fsum(k / (knee + v) for v, k in _oracle_knee_panel(j, prec))
+        rounding += s * (8 + 2 * math.exp(1.25 * (j + 1)))
+        truncation += gauss_bound(0.625, knee + (1.25 * j + 0.625), 1)
+        sums.append(s)
+    if j0 < 4:
+        rounding += 3 * math.exp(-0.99 * math.exp(1.25 * j0))
+    end = max(lo, knee + 5)
+    top = c * mp.exp(end)
+    return mp.fsum(sums), truncation + mp.exp(-top) / (top * end), rounding * mp.eps
+
+
+def test_integer_kernel_integral_matches_the_knee_grid_oracle():
+    """Within both derived bounds: every fixed lambda at every start and at
+    30 and 60 digits, and 200 seeded lambdas at the series' start and
+    precision; the cases cut the panel holding log n left of the knee grid,
+    inside it, and not at all."""
+    cases = [(lam, start, dps) for lam in FIXED_LAMS for start in STARTS for dps in (30, 60)]
+    cases += [(lam, 64, 30) for lam in seeded_lams(2021)]
+    places = []  # log n - log(1/c)
+    for lam, start, dps in cases:
+        with mp.workdps(dps):
+            c = -2 * mp.log1p(-mp.mpf(lam))
+            value, truncation, rounding = _log_harmonic_integral(c, start)
+            oracle, oracle_truncation, oracle_rounding = knee_grid_log_harmonic_integral(c, start)
+            bound = truncation + rounding + oracle_truncation + oracle_rounding
+            assert abs(value - oracle) <= bound, (lam, start, dps)
+            places.append(float(mp.log(start) + mp.log(c)))
+    assert any(p < -3.75 for p in places)
+    assert any(-3.75 < p < 5 and p % 1.25 for p in places)
+    assert any(p > 5 for p in places)
+
+
 def kept_caches():
     """Every cache the roofs module keeps, found by its ``cache_info``."""
     return [v for v in vars(roofs).values() if hasattr(v, "cache_info")]
@@ -402,10 +477,14 @@ def test_kept_knee_values_give_one_value_cold_and_warm():
         cache.cache_clear()
     rng.shuffle(lams)
     cold = {lam: LogHarmonic().bernoulli_series(lam, with_bound=True) for lam in lams}
-    assert roofs._knee_panel.cache_info().currsize == 7  # j = -3..3 at 30 digits
+    # at 30 digits: the 7 cells of the knee grid and 38 cells left of it, and one set of parts
+    sizes = {roofs._panel_table: 45, roofs._log_harmonic_parts: 1}
+    assert all(cache.cache_info().currsize == sizes.get(cache, 0) for cache in kept_caches())
     rng.shuffle(lams)
     for lam in lams:
         assert LogHarmonic().bernoulli_series(lam, with_bound=True) == cold[lam], lam
+    # the warm pass builds nothing: every kept table is lambda-free
+    assert all(cache.cache_info().currsize == sizes.get(cache, 0) for cache in kept_caches())
 
 
 def product_times(a, b):
