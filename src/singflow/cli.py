@@ -81,7 +81,7 @@ def _run_verify(args: argparse.Namespace, out) -> int:
 
 def _random_bits(rng) -> BitSequence:
     n = int(rng.integers(2, 10))
-    window = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    window = tuple(rng.integers(0, 2, size=n).tolist())
     start = int(rng.integers(-5, 5))
     tails = [(1, 0, 0), (1,), (0, 1), (1, 0, 0, 0, 1)]
     left = tails[int(rng.integers(0, len(tails)))]

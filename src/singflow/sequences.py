@@ -85,12 +85,20 @@ def _normal_form(window, start: int, left, right) -> tuple:
     return window, start, left, right
 
 
-def _tile(word: tuple, i: int, j: int) -> tuple:
-    """word[k % len(word)] for k in i .. j-1; empty if j <= i."""
+def _tile(word, i: int, j: int):
+    """word[k % len(word)] for k in i .. j-1, a word of its type; empty if j <= i."""
     if j <= i:
-        return ()
+        return word[:0]
     k = i % len(word)
     return (word * ((j - i + k) // len(word) + 1))[k:k + j - i]
+
+
+def _segment(window, start: int, left, right, a: int, b: int):
+    """Symbols at coordinates a .. b-1 of a description, in its words' type."""
+    end = start + len(window)
+    return (_tile(left, a - start, min(b, start) - start)
+            + window[max(a, start) - start:max(min(b, end) - start, 0)]
+            + _tile(right, max(a, end) - end, b - end))
 
 
 class SymbolSequence:
@@ -139,10 +147,7 @@ class SymbolSequence:
 
     def segment(self, a: int, b: int) -> tuple:
         """Symbols at coordinates a .. b-1, tiled from the description."""
-        s, e = self.start, self.end
-        return (_tile(self.left, a - s, min(b, s) - s)
-                + self.window[max(a, s) - s:max(min(b, e) - s, 0)]
-                + _tile(self.right, max(a, e) - e, b - e))
+        return _segment(self.window, self.start, self.left, self.right, a, b)
 
     def shifted(self, n: int) -> "SymbolSequence":
         """Sequence y with y_m = x_{m+n}; O(1) but for an empty window, which
@@ -242,6 +247,10 @@ class BitSequence(SymbolSequence):
             b = s + h if h >= 0 else _tail_one(self._right2, e, max(pos + 1, e), True)
         return a, b
 
+    def _row(self, a: int, b: int) -> bytes:
+        """``segment(a, b)`` as bytes, tiled from the byte rows."""
+        return _segment(self._wbytes, self.start, self._left2, self._right2, a, b)
+
     def gap_pair_at(self, pos: int) -> "GapPair":
         """Gap coordinates of the shifted sequence with origin at ``pos``."""
         a, b = self.ones_around(pos)
@@ -306,12 +315,13 @@ def compare_radius(x: SymbolSequence, y: SymbolSequence, reach: int = 0) -> int:
 
 
 def seq_distance(x: BitSequence, y: BitSequence) -> float:
-    """2^(-m) where m is the smallest |n| at which x and y differ; 0 if equal.
-    Both are materialised once on -r..r and scanned outward from 0."""
+    """2^(-m) where m is the smallest |n| at which x and y differ, floored at
+    2^-1074 so that only equal sequences are at 0.0: the shorter common prefix
+    of their byte rows' halves read outward from 0, by galloping (``_agree``)."""
     r = compare_radius(x, y)
-    u, v = x.segment(-r, r + 1), y.segment(-r, r + 1)
-    m = next((m for m in range(r + 1) if u[r + m] != v[r + m] or u[r - m] != v[r - m]), None)
-    return 0.0 if m is None else math.ldexp(1.0, -m)
+    u, v = x._row(-r, r + 1), y._row(-r, r + 1)
+    m = 0 if u[r] != v[r] else min(_agree(u[r:], v[r:]), _agree(u[r::-1], v[r::-1]))
+    return 0.0 if m > r else math.ldexp(1.0, -min(m, 1074))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 HEIGHT_TOL = 1e-9
-_CHUNK = 1024   # columns per comparison step of bw_distances_upper: (2n)^2 x _CHUNK for 2n slots
+_CHUNK = 1024   # columns per comparison step of bw_distances_upper: nb^2 x _CHUNK for nb bases
 MAX_CROSSINGS = 10 ** 6
+_TINY = math.ulp(0.0)   # 2^-1074, the least positive double
 _R = 64   # levels flow crosses one by one next to each 1 and before its landing
 
 
@@ -219,8 +220,9 @@ def pair_length(a: FlowPoint, b: FlowPoint, kind: str, f: RoofFunction) -> float
         if abs(ua - ub) > HEIGHT_TOL:
             raise PairKindError("horizontal pair needs equal normalized heights")
         u = 0.5 * (ua + ub)
-        return ((1.0 - u) * seq_distance(a.base, b.base)
-                + u * seq_distance(a.base.shifted(1), b.base.shifted(1)))
+        d0 = seq_distance(a.base, b.base)
+        return max((1.0 - u) * d0 + u * seq_distance(a.base.shifted(1), b.base.shifted(1)),
+                   min(d0, _TINY))   # distinct bases stay positive where both terms round to 0
     if kind == VERTICAL:
         if a.base == b.base:
             return abs(ua - ub)
@@ -259,6 +261,8 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     budget satisfies the relaxed triangle inequality.  It is 0.0 on the
     diagonal, and also for two points of one fiber whose normalized heights
     differ by at most ``HEIGHT_TOL``: a horizontal pair of one base costs 0.
+    Otherwise it is positive: distances 2^-m, and horizontal lengths of two
+    bases, are floored at 2^-1074, the least positive double.
     """
     return bw_distances_upper(a, b, f, (chain_budget,), window)[0]
 
@@ -272,8 +276,10 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     Every base and its image under the shift is x.shifted(j) for an endpoint
     base x and -window <= j <= window + 1, so each is a slot: the bytes of
     one orbit's bit row on coordinates -r..r of the shift.  These hold 0 and
-    the compare bound of every pair, so equal slots mean equal sequences and
-    the first mismatch outward from 0 gives the distance.
+    the compare bound of every pair, so equal slots mean equal sequences, a
+    base's roof comes from the slot's 1s nearest to 0 (``roof_between``), and
+    the first mismatch outward from 0 gives the distance, in one table over
+    the distinct bases.
     """
     if not budgets:
         raise ValueError("need at least one chain budget")
@@ -281,65 +287,73 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
         raise ValueError("chain budget must be at least 2")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    ua, ub = norm_height(a, f), norm_height(b, f)
-    if ua == ub and a.base == b.base:   # one vertex, at vertical length 0
+    if a == b:   # the diagonal, before any row is read
         return (0.0,) * len(budgets)
     orbits = a.base, b.base
     r = compare_radius(*orbits, window + 1)
-    # slot s = 2c + o is orbits[o].shifted(c - window) on -r..r and its image
-    # is slot s + 2: the base slots come first, then the two image-only slots
-    rows = [bytes(z.segment(-r - window, r + window + 2)) for z in orbits]
-    slots = [row[c:c + 2 * r + 1] for c in range(2 * window + 2) for row in rows]
-    ids: dict = {}
-    base = np.array([ids.setdefault(bits, len(ids)) for bits in slots])   # equal slots, one id
+    # slot o * n + c is orbits[o].shifted(c - window) on -r..r, for the n shifts
+    # -window .. window + 1; for c < n - 1 the next slot is its image
+    n = 2 * window + 2
+    ids: dict = {}   # equal slots, one id; the distinct bases in id order
+    base = [ids.setdefault(row[c:c + 2 * r + 1], len(ids))
+            for row in (z._row(-r - window, r + window + 2) for z in orbits) for c in range(n)]
+    # a slot holds a tail period past each window edge: its 1s nearest to 0 are the sequence's
+    roof = [roof_between(f, r, None if (i := key.rfind(1, 0, r + 1)) < 0 else i,
+                         None if (j := key.find(1, r + 1)) < 0 else j) for key in ids]
+    ia, ib = base[window], base[n + window]
+    ua, ub = (p.height / roof[i] if roof[i] else 0.0 for p, i in ((a, ia), (b, ib)))
+    if ua == ub and ia == ib:   # one vertex, at vertical length 0
+        return (0.0,) * len(budgets)
 
-    # vertices (base id, normalized height) -> a slot of the base, in first-insertion order
-    verts = {(base[2 * window], ua): 2 * window, (base[2 * window + 1], ub): 2 * window + 1}
+    # vertices (base id, normalized height) -> the image's id, in first-insertion
+    # order: a, b, then each base of orbit 0, then of orbit 1, at heights {0, ua, ub}
+    image = dict(zip(base[:n - 1] + base[n:-1], base[1:n] + base[n + 1:]))
+    verts = {(ia, ua): image[ia], (ib, ub): image[ib]}
     grid = sorted({0.0, ua, ub})
-    for o in (0, 1):
-        for j in range(-window, window + 1):
-            s = 2 * (j + window) + o
-            for u in ((0.0,) if roof_eval(f, orbits[o], j) == 0.0 else grid):
-                verts.setdefault((base[s], u), s)
+    for i, j in image.items():
+        for u in ((0.0,) if roof[i] == 0.0 else grid):
+            verts.setdefault((i, u), j)
 
-    # d[s, t] = d(slot s, slot t), from the first mismatch in |m| order, a chunk of
-    # columns at a time outward from 0, so the temporaries stay (2n)^2 x _CHUNK for
-    # the 2n = 4 window + 4 slots
-    bits = np.frombuffer(b"".join(slots), dtype=np.uint8).reshape(len(slots), -1)
-    d = np.zeros((len(slots), len(slots)))
-    found = base[:, None] == base   # pairs whose first mismatch is seen (2^-m may underflow)
-    for k0 in range(0, 2 * r + 1, _CHUNK):
-        k = np.arange(k0, min(k0 + _CHUNK, 2 * r + 1))
-        m = (k + 1) >> 1   # coordinates 0, 1, -1, ..., r, -r
-        col = bits[:, r + np.where(k & 1, m, -m)]
-        diff = col[:, None] != col
-        hit = diff.any(-1)
-        # 2^-m of a chunk's first mismatch exceeds that of any later chunk
-        d = np.maximum(d, np.where(hit, np.ldexp(1.0, -m[diff.argmax(-1)]), 0.0))
-        found |= hit
-        if found.all():
-            break
+    # d[i, j] = d(base i, base j) = 2^-m from their first mismatch in |m| order; a row wider
+    # than _CHUNK a chunk of columns at a time, so temporaries stay nb^2 x _CHUNK for nb bases
+    nb, w = len(ids), 2 * r + 1
+    keys = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(nb, w)
+    cols = np.empty_like(keys)   # column k holds coordinate (k + 1) // 2 for odd k, else -k // 2
+    cols[:, ::2], cols[:, 1::2] = keys[:, r::-1], keys[:, r + 1:]
+    m = np.minimum(np.arange(1, w + 1) >> 1, 1074)   # each column's |coordinate|, at most 1074
+    if w <= _CHUNK:
+        d = np.ldexp(1.0, -m[(cols[:, None] != cols).argmax(-1)])
+        np.fill_diagonal(d, 0.0)
+    else:
+        d = np.zeros((nb, nb))
+        for k0 in range(0, w, _CHUNK):
+            diff = cols[:, None, k0:k0 + _CHUNK] != cols[:, k0:k0 + _CHUNK]
+            # 2^-m of a chunk's first mismatch is at least that of any later chunk
+            d = np.maximum(d, np.where(diff.any(-1), np.ldexp(1.0, -m[k0 + diff.argmax(-1)]), 0.0))
+            if np.count_nonzero(d) == nb * nb - nb:   # each pair of distinct bases met its own
+                break
 
-    vs, vu = np.array(list(verts.values())), np.array([u for _, u in verts])
-    vb = base[vs]
-    up_to = base[vs + 2][:, None] == vb   # the image of fiber i is fiber j
+    vb, vu = map(np.array, zip(*verts))
+    vi = np.array(list(verts.values()))
+    up_to = vi[:, None] == vb   # the image of fiber i is fiber j
     ui, uj = vu[:, None], vu
     gap = np.abs(ui - uj)   # zero on the diagonal, which no edge undercuts
-    up = 1.0 - ui + uj      # from fiber i up through the roof to fiber j
+    up = (1.0 - vu)[:, None] + vu   # from fiber i up through the roof to fiber j
     # vertical: same fiber, or flowing up through the roof to the next one
     weight = np.where(vb[:, None] == vb, gap,
                       np.where(up_to, up, np.where(up_to.T, up.T, math.inf)))
+    # horizontal, within HEIGHT_TOL: distinct bases stay positive where both terms round to 0
     u = 0.5 * (ui + uj)
-    horizontal = (1.0 - u) * d[vs[:, None], vs] + u * d[vs[:, None] + 2, vs + 2]
-    weight = np.where((gap <= HEIGHT_TOL) & (horizontal < weight), horizontal, weight)
-    # each pair is weighed with the lower vertex index first
-    weight = np.where(np.tri(len(vs), k=-1, dtype=bool), weight.T, weight)
+    d0 = d[vb][:, vb]
+    horizontal = np.maximum((1.0 - u) * d0 + u * d[vi][:, vi], np.minimum(d0, _TINY))
+    weight = np.minimum(weight, np.where(gap <= HEIGHT_TOL, horizontal, math.inf))
+    if (up_to & up_to.T).any():   # period 2: the up edge from the lower vertex index weighs
+        weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
 
     # shortest paths from a (index 0): reach[t] is b's over at most t edges
-    dist = np.full(len(vs), math.inf)
-    dist[0] = 0.0
-    reach = [math.inf]
-    for _ in range(max(budgets) - 1):
+    dist = weight[0]   # over one edge
+    reach = [math.inf, float(dist[1])]
+    for _ in range(max(budgets) - 2):
         new = (dist[:, None] + weight).min(0)  # the zero diagonal keeps dist
         if not (new < dist).any():  # a fixed point stays fixed
             break

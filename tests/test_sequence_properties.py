@@ -8,7 +8,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from singflow import BitSequence, SymbolSequence  # noqa: E402
+from singflow import BitSequence, SymbolSequence, seq_distance  # noqa: E402
+from singflow.sequences import compare_radius  # noqa: E402
 from sequence_oracle import normal_form  # noqa: E402
 
 
@@ -114,3 +115,41 @@ def test_normal_form_matches_the_symbol_by_symbol_oracle(case, n):
     assert (x.window, x.start, x.left, x.right) == normal_form(*description)
     y = x.shifted(n)
     assert (y.window, y.start, y.left, y.right) == normal_form(x.window, x.start - n, x.left, x.right)
+
+
+def seq_distance_oracle(x, y):
+    """seq_distance as it was before byte rows, copied: both sequences as
+    tuples on -r..r, scanned outward from 0 symbol by symbol.  Its 2^-m
+    underflows to 0.0 past m = 1074."""
+    r = compare_radius(x, y)
+    u, v = x.segment(-r, r + 1), y.segment(-r, r + 1)
+    m = next((m for m in range(r + 1) if u[r + m] != v[r + m] or u[r - m] != v[r - m]), None)
+    return 0.0 if m is None else math.ldexp(1.0, -m)
+
+
+_long_windows = st.one_of(st.binary(max_size=8), st.binary(min_size=200, max_size=625)).map(
+    lambda b: tuple((c >> k) & 1 for c in b for k in range(8)))
+_tails = st.lists(_bits, min_size=1, max_size=7).map(tuple)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_long_windows, st.integers(-6000, 6000), _tails, _tails,
+       st.lists(st.integers(0, 10 ** 6), max_size=3), st.integers(-2, 2),
+       st.one_of(st.none(), _tails), st.integers(-9000, 9000), st.integers(0, 64))
+def test_seq_distance_matches_the_symbol_scan_oracle_on_long_windows(
+        window, start, left, right, flips, move, other_tail, lo, span):
+    """Windows up to 5,000 bits: y is x with a few window bits flipped, its
+    start moved, or a tail replaced.  Equal doubles where the first
+    difference lies within |m| <= 1074, and 2^-1074 past it; the byte rows
+    read the same bits as ``segment``."""
+    x = BitSequence(window, start, left, right)
+    w = list(window)
+    for i in flips:
+        if w:
+            w[i % len(w)] ^= 1
+    y = BitSequence(tuple(w), start + move, left, other_tail or right)
+    want = seq_distance_oracle(x, y)
+    if want == 0.0 and x != y:
+        want = math.ulp(0.0)
+    assert seq_distance(x, y).hex() == seq_distance(y, x).hex() == want.hex()
+    assert x._row(lo, lo + span) == bytes(x.segment(lo, lo + span))

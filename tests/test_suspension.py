@@ -13,6 +13,7 @@ from singflow import (HORIZONTAL, VERTICAL, AdmissibleChain, BitSequence,
                       parse_sequence_literal, roof_eval, seq_distance, shift,
                       singular_point, unit_roof_extension)
 from singflow.roofs import roof_between
+from singflow.sequences import compare_radius
 from singflow.suspension import _R, HEIGHT_TOL
 
 HARM = RoofFunction.from_profile(Harmonic(1.0))
@@ -531,7 +532,7 @@ def _distance(x, y):
     m = 0
     while _at(x, m) == _at(y, m) and _at(x, -m) == _at(y, -m):
         m += 1
-    return math.ldexp(1.0, -m)
+    return math.ldexp(1.0, -min(m, 1074))   # floored at the least positive double
 
 
 def reference_bw_distance_upper(a, b, f, chain_budget, window=3):
@@ -820,6 +821,200 @@ def test_bw_distances_reject_empty_and_small_budgets():
         bw_distance_upper(a, b, UNIT, 1)
     with pytest.raises(ValueError, match="window must be nonnegative"):
         bw_distances_upper(a, b, UNIT, (4,), -1)
+
+
+# ---------------------------------------------------------------------------
+# The graph build reads every per-base fact from the slot rows: roofs from the
+# slot bytes through roof_between, and one distance table over the distinct
+# bases.  Oracle: the previous build, which looked each roof up by roof_eval.
+
+_CHUNK = 1024
+
+
+def slot_oracle_bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
+                       budgets: tuple[int, ...], window: int = 3) -> tuple[float, ...]:
+    """The slot-table graph build as it was before roofs came from the slot
+    bytes, copied verbatim: roof_eval per base, norm_height per endpoint, and
+    one distance table over all 4 window + 4 slots.  Its 2^-m underflows to
+    0.0 past m = 1074, so it is compared only on pairs whose bases first differ
+    within |m| <= 1074.
+
+    ``bw_distance_upper`` at each of ``budgets``, in order, from one chain
+    graph: the t-th relaxation is the distance over at most t edges, so
+    budget m reads the iterate that a call with budget m alone stops at.
+
+    Every base and its image under the shift is x.shifted(j) for an endpoint
+    base x and -window <= j <= window + 1, so each is a slot: the bytes of
+    one orbit's bit row on coordinates -r..r of the shift.  These hold 0 and
+    the compare bound of every pair, so equal slots mean equal sequences and
+    the first mismatch outward from 0 gives the distance.
+    """
+    if not budgets:
+        raise ValueError("need at least one chain budget")
+    if min(budgets) < 2:
+        raise ValueError("chain budget must be at least 2")
+    if window < 0:
+        raise ValueError("window must be nonnegative")
+    ua, ub = norm_height(a, f), norm_height(b, f)
+    if ua == ub and a.base == b.base:   # one vertex, at vertical length 0
+        return (0.0,) * len(budgets)
+    orbits = a.base, b.base
+    r = compare_radius(*orbits, window + 1)
+    # slot s = 2c + o is orbits[o].shifted(c - window) on -r..r and its image
+    # is slot s + 2: the base slots come first, then the two image-only slots
+    rows = [bytes(z.segment(-r - window, r + window + 2)) for z in orbits]
+    slots = [row[c:c + 2 * r + 1] for c in range(2 * window + 2) for row in rows]
+    ids: dict = {}
+    base = np.array([ids.setdefault(bits, len(ids)) for bits in slots])   # equal slots, one id
+
+    # vertices (base id, normalized height) -> a slot of the base, in first-insertion order
+    verts = {(base[2 * window], ua): 2 * window, (base[2 * window + 1], ub): 2 * window + 1}
+    grid = sorted({0.0, ua, ub})
+    for o in (0, 1):
+        for j in range(-window, window + 1):
+            s = 2 * (j + window) + o
+            for u in ((0.0,) if roof_eval(f, orbits[o], j) == 0.0 else grid):
+                verts.setdefault((base[s], u), s)
+
+    # d[s, t] = d(slot s, slot t), from the first mismatch in |m| order, a chunk of
+    # columns at a time outward from 0, so the temporaries stay (2n)^2 x _CHUNK for
+    # the 2n = 4 window + 4 slots
+    bits = np.frombuffer(b"".join(slots), dtype=np.uint8).reshape(len(slots), -1)
+    d = np.zeros((len(slots), len(slots)))
+    found = base[:, None] == base   # pairs whose first mismatch is seen (2^-m may underflow)
+    for k0 in range(0, 2 * r + 1, _CHUNK):
+        k = np.arange(k0, min(k0 + _CHUNK, 2 * r + 1))
+        m = (k + 1) >> 1   # coordinates 0, 1, -1, ..., r, -r
+        col = bits[:, r + np.where(k & 1, m, -m)]
+        diff = col[:, None] != col
+        hit = diff.any(-1)
+        # 2^-m of a chunk's first mismatch exceeds that of any later chunk
+        d = np.maximum(d, np.where(hit, np.ldexp(1.0, -m[diff.argmax(-1)]), 0.0))
+        found |= hit
+        if found.all():
+            break
+
+    vs, vu = np.array(list(verts.values())), np.array([u for _, u in verts])
+    vb = base[vs]
+    up_to = base[vs + 2][:, None] == vb   # the image of fiber i is fiber j
+    ui, uj = vu[:, None], vu
+    gap = np.abs(ui - uj)   # zero on the diagonal, which no edge undercuts
+    up = 1.0 - ui + uj      # from fiber i up through the roof to fiber j
+    # vertical: same fiber, or flowing up through the roof to the next one
+    weight = np.where(vb[:, None] == vb, gap,
+                      np.where(up_to, up, np.where(up_to.T, up.T, math.inf)))
+    u = 0.5 * (ui + uj)
+    horizontal = (1.0 - u) * d[vs[:, None], vs] + u * d[vs[:, None] + 2, vs + 2]
+    weight = np.where((gap <= HEIGHT_TOL) & (horizontal < weight), horizontal, weight)
+    # each pair is weighed with the lower vertex index first
+    weight = np.where(np.tri(len(vs), k=-1, dtype=bool), weight.T, weight)
+
+    # shortest paths from a (index 0): reach[t] is b's over at most t edges
+    dist = np.full(len(vs), math.inf)
+    dist[0] = 0.0
+    reach = [math.inf]
+    for _ in range(max(budgets) - 1):
+        new = (dist[:, None] + weight).min(0)  # the zero diagonal keeps dist
+        if not (new < dist).any():  # a fixed point stays fixed
+            break
+        dist = new
+        reach.append(float(dist[1]))
+    return tuple(reach[min(m, len(reach)) - 1] for m in budgets)
+
+
+
+def _oracle_pairs(rng):
+    """(a, b, f, window) on every oracle roof: rows wider than _CHUNK, bases
+    with no 1 on one side of the row, the geometric roof's underflow at gaps
+    248 and 249, period-2 orbits, equal and close heights, and random pairs."""
+    deep = BitSequence.from_ones([0, 600])
+    two = BitSequence.periodic((1, 0))
+    sides = [BitSequence.from_ones([0]), BitSequence.from_ones([-2], right=(0, 0, 1)),
+             BitSequence.from_ones([3], left=(1, 0)), BitSequence.zero()]
+    for f in ORACLE_ROOFS:
+        def point(x, scale=0.5):
+            return flow_point(f, x, scale * float(rng.uniform()) * roof_eval(f, x))
+        x = random_point(rng, f).base
+        for y in (x.shifted(int(rng.choice([-1, 1]) * rng.integers(520, 700))),
+                  random_point(rng, f).base.shifted(int(rng.integers(530, 600)))):
+            yield point(x), point(y), f, int(rng.integers(0, 4))
+        for s in (248, 249, 300, 351, 352):
+            yield point(deep.shifted(s)), point(deep.shifted(s + int(rng.integers(-3, 4)))), f, 3
+        for y in sides:
+            yield point(y), point(random_point(rng, f).base), f, int(rng.integers(1, 4))
+            yield point(y), point(rng.choice(sides)), f, 2
+        for p in (two, two.shifted(1), BitSequence((1,), 0, (1, 0), (1, 0))):
+            yield point(two, 1.0), point(p, 1.0), f, int(rng.integers(0, 4))
+            yield point(p, 1.0), point(random_point(rng, f).base), f, 3
+        a = point(x)
+        y = random_point(rng, f).base
+        if roof_eval(f, y) > 0.0 and norm_height(a, f) > 0.0:
+            # b at a's normalized height, and one ulp above it: horizontal pairs
+            b = FlowPoint(y, norm_height(a, f) * roof_eval(f, y))
+            if norm_height(b, f) < 1.0:
+                yield a, b, f, 3
+                yield a, FlowPoint(b.base, math.nextafter(b.height, 0.0)), f, 3
+
+
+def test_bw_distances_match_the_slot_oracle_bit_for_bit():
+    rng = np.random.default_rng(67)
+    wide = checked = 0
+    for rep in range(3):
+        for a, b, f, window in _oracle_pairs(rng):
+            for p, q in ((a, b), (b, a)):
+                budgets = tuple(int(m) for m in rng.integers(2, 13, size=int(rng.integers(1, 4))))
+                got = bw_distances_upper(p, q, f, budgets, window)
+                want = slot_oracle_bw_distances_upper(p, q, f, budgets, window)
+                assert [d.hex() for d in got] == [d.hex() for d in want], \
+                    (p, q, f.spec(), budgets, window)
+                wide += 2 * compare_radius(p.base, q.base, window + 1) + 1 > _CHUNK
+                checked += 1
+    assert checked >= 800 and wide >= 48
+
+
+def test_slot_bytes_give_the_roof_of_every_slot():
+    """bw_distances_upper reads a base's roof from its slot: the 1s of the
+    slot nearest to coordinate 0, None where the slot has none, through
+    roof_between.  A slot holds a tail period past each window edge, so this
+    is roof_eval's answer on every slot, the image-only ones included."""
+    rng = np.random.default_rng(71)
+    deep = BitSequence.from_ones([0, 600])
+    bases = [deep, deep.shifted(249), deep.shifted(351), BitSequence.zero(),
+             BitSequence.from_ones([0]), BitSequence.from_ones([-2], right=(0, 0, 1)),
+             BitSequence.from_ones([3], left=(1, 0)), BitSequence.periodic((1, 0)),
+             BitSequence((1,), 0, (0,), (1,) + (0,) * 40)]
+    checked = 0
+    for f in ORACLE_ROOFS:
+        for x in bases + [random_point(rng, f).base for _ in range(6)]:
+            for window in range(4):
+                y = random_point(rng, f).base.shifted(int(rng.integers(-30, 31)))
+                r = compare_radius(x, y, window + 1)
+                row = x._row(-r - window, r + window + 2)
+                for c in range(2 * window + 2):
+                    key = row[c:c + 2 * r + 1]
+                    i, j = key.rfind(1, 0, r + 1), key.find(1, r + 1)
+                    got = roof_between(f, r, None if i < 0 else i, None if j < 0 else j)
+                    assert got.hex() == roof_eval(f, x, c - window).hex(), (x, f.spec(), c)
+                    checked += 1
+    assert checked == len(ORACLE_ROOFS) * (len(bases) + 6) * sum(2 * w + 2 for w in range(4))
+
+
+def test_distinct_points_at_one_height_are_at_positive_distance():
+    """Two sequences that first differ at |m| = 1200 are at 2^-1074, not 0.0,
+    and so are horizontal pairs of them, at u = 1/2 too, where both terms
+    (1 - u) 2^-1074 and u 2^-1074 round to 0."""
+    f = parse_roof_spec("harmonic:1")
+    x, y = BitSequence.from_ones([0, 1, 2000]), BitSequence.from_ones([0, 1, 1200, 2000])
+    tiny = math.ulp(0.0)
+    assert seq_distance(x, y) == seq_distance(x.shifted(1), y.shifted(1)) == tiny
+    for h in (0.25, 0.5):
+        pa, pb = flow_point(f, x, h * roof_eval(f, x)), flow_point(f, y, h * roof_eval(f, y))
+        assert pair_length(pa, pb, HORIZONTAL, f) > 0.0
+        assert pair_length(pa, pb, HORIZONTAL, f) == pair_length(pb, pa, HORIZONTAL, f) == tiny
+        for budget in (2, 6):
+            assert bw_distance_upper(pa, pb, f, budget) == bw_distance_upper(pb, pa, f, budget) \
+                == tiny
+    assert bw_distance_upper(pa, pa, f, 6) == 0.0
 
 
 def test_unit_roof_extension_examples():
