@@ -261,8 +261,8 @@ def bw_distance_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     budget satisfies the relaxed triangle inequality.  It is 0.0 on the
     diagonal, and also for two points of one fiber whose normalized heights
     differ by at most ``HEIGHT_TOL``: a horizontal pair of one base costs 0.
-    Otherwise it is positive: distances 2^-m, and horizontal lengths of two
-    bases, are floored at 2^-1074, the least positive double.
+    Otherwise it is positive: distances 2^-m, and horizontal lengths of
+    distinct bases, are floored at 2^-1074, the least positive double.
     """
     return bw_distances_upper(a, b, f, (chain_budget,), window)[0]
 

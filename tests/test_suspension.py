@@ -940,6 +940,11 @@ def _oracle_pairs(rng):
             yield point(x), point(y), f, int(rng.integers(0, 4))
         for s in (248, 249, 300, 351, 352):
             yield point(deep.shifted(s)), point(deep.shifted(s + int(rng.integers(-3, 4)))), f, 3
+        # rows wider than _CHUNK whose bases first differ past its first 1024
+        # columns, at one height, where the horizontal pair is the distance
+        for ones in ([0, 560, 600], [-560, 0, 600], [0, 600, 1000]):
+            h = 0.5 * float(rng.uniform()) * roof_eval(f, deep)
+            yield flow_point(f, deep, h), flow_point(f, BitSequence.from_ones(ones), h), f, 3
         for y in sides:
             yield point(y), point(random_point(rng, f).base), f, int(rng.integers(1, 4))
             yield point(y), point(rng.choice(sides)), f, 2
