@@ -20,6 +20,9 @@ INF = math.inf
 # Distances larger than this are reported as infinite.
 MAX_GAP = 2 ** 62
 
+# The floor of a distance 2^-m, so that only equal sequences are at 0.0.
+_TINY = math.ulp(0.0)   # 2^-1074, the least positive double
+
 
 class SequenceFormatError(ValueError):
     """Raised for malformed textual sequence literals."""
@@ -321,7 +324,7 @@ def seq_distance(x: BitSequence, y: BitSequence) -> float:
     r = compare_radius(x, y)
     u, v = x._row(-r, r + 1), y._row(-r, r + 1)
     m = 0 if u[r] != v[r] else min(_agree(u[r:], v[r:]), _agree(u[r::-1], v[r::-1]))
-    return 0.0 if m > r else math.ldexp(1.0, -min(m, 1074))
+    return 0.0 if m > r else max(math.ldexp(1.0, -m), _TINY)
 
 
 # ---------------------------------------------------------------------------

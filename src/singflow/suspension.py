@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roofs import RoofFunction, admissibility_check, ADMISSIBLE, roof_between, roof_eval
-from .sequences import BitSequence, compare_radius, seq_distance
+from .sequences import _TINY, BitSequence, compare_radius, seq_distance
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -25,7 +25,6 @@ VERTICAL = "vertical"
 HEIGHT_TOL = 1e-9
 _CHUNK = 1024   # columns per comparison step of bw_distances_upper: nb^2 x _CHUNK for nb bases
 MAX_CROSSINGS = 10 ** 6
-_TINY = math.ulp(0.0)   # 2^-1074, the least positive double
 _R = 64   # levels flow crosses one by one next to each 1 and before its landing
 
 
@@ -287,8 +286,6 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
         raise ValueError("chain budget must be at least 2")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    if a == b:   # the diagonal, before any row is read
-        return (0.0,) * len(budgets)
     orbits = a.base, b.base
     r = compare_radius(*orbits, window + 1)
     # slot o * n + c is orbits[o].shifted(c - window) on -r..r, for the n shifts
@@ -314,24 +311,20 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
         for u in ((0.0,) if roof[i] == 0.0 else grid):
             verts.setdefault((i, u), j)
 
-    # d[i, j] = d(base i, base j) = 2^-m from their first mismatch in |m| order; a row wider
-    # than _CHUNK a chunk of columns at a time, so temporaries stay nb^2 x _CHUNK for nb bases
+    # d[i, j] = d(base i, base j) = 2^-m from their first mismatch in |m| order, a chunk of
+    # columns at a time, so temporaries stay nb^2 x _CHUNK for nb bases
     nb, w = len(ids), 2 * r + 1
     keys = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(nb, w)
     cols = np.empty_like(keys)   # column k holds coordinate (k + 1) // 2 for odd k, else -k // 2
     cols[:, ::2], cols[:, 1::2] = keys[:, r::-1], keys[:, r + 1:]
-    m = np.minimum(np.arange(1, w + 1) >> 1, 1074)   # each column's |coordinate|, at most 1074
-    if w <= _CHUNK:
-        d = np.ldexp(1.0, -m[(cols[:, None] != cols).argmax(-1)])
-        np.fill_diagonal(d, 0.0)
-    else:
-        d = np.zeros((nb, nb))
-        for k0 in range(0, w, _CHUNK):
-            diff = cols[:, None, k0:k0 + _CHUNK] != cols[:, k0:k0 + _CHUNK]
-            # 2^-m of a chunk's first mismatch is at least that of any later chunk
-            d = np.maximum(d, np.where(diff.any(-1), np.ldexp(1.0, -m[k0 + diff.argmax(-1)]), 0.0))
-            if np.count_nonzero(d) == nb * nb - nb:   # each pair of distinct bases met its own
-                break
+    dm = np.maximum(np.ldexp(1.0, -(np.arange(1, w + 1) >> 1)), _TINY)   # each column's 2^-|m|
+    d = np.zeros((nb, nb))
+    for k0 in range(0, w, _CHUNK):
+        diff = cols[:, None, k0:k0 + _CHUNK] != cols[:, k0:k0 + _CHUNK]
+        # 2^-m of a chunk's first mismatch is at least that of any later chunk
+        d = np.maximum(d, np.where(diff.any(-1), dm[k0 + diff.argmax(-1)], 0.0))
+        if np.count_nonzero(d) == nb * nb - nb:   # each pair of distinct bases met its own
+            break
 
     vb, vu = map(np.array, zip(*verts))
     vi = np.array(list(verts.values()))
@@ -347,8 +340,8 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     d0 = d[vb][:, vb]
     horizontal = np.maximum((1.0 - u) * d0 + u * d[vi][:, vi], np.minimum(d0, _TINY))
     weight = np.minimum(weight, np.where(gap <= HEIGHT_TOL, horizontal, math.inf))
-    if (up_to & up_to.T).any():   # period 2: the up edge from the lower vertex index weighs
-        weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
+    # period 2: the up edge from the lower vertex index weighs; all else is symmetric already
+    weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
 
     # shortest paths from a (index 0): reach[t] is b's over at most t edges
     dist = weight[0]   # over one edge

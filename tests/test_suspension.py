@@ -14,7 +14,7 @@ from singflow import (HORIZONTAL, VERTICAL, AdmissibleChain, BitSequence,
                       singular_point, unit_roof_extension)
 from singflow.roofs import roof_between
 from singflow.sequences import compare_radius
-from singflow.suspension import _R, HEIGHT_TOL
+from singflow.suspension import _CHUNK, _R, HEIGHT_TOL
 
 HARM = RoofFunction.from_profile(Harmonic(1.0))
 UNIT = RoofFunction.const(1.0)
@@ -828,8 +828,6 @@ def test_bw_distances_reject_empty_and_small_budgets():
 # slot bytes through roof_between, and one distance table over the distinct
 # bases.  Oracle: the previous build, which looked each roof up by roof_eval.
 
-_CHUNK = 1024
-
 
 def slot_oracle_bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
                        budgets: tuple[int, ...], window: int = 3) -> tuple[float, ...]:
@@ -940,7 +938,7 @@ def _oracle_pairs(rng):
             yield point(x), point(y), f, int(rng.integers(0, 4))
         for s in (248, 249, 300, 351, 352):
             yield point(deep.shifted(s)), point(deep.shifted(s + int(rng.integers(-3, 4)))), f, 3
-        # rows wider than _CHUNK whose bases first differ past its first 1024
+        # rows wider than _CHUNK whose bases first differ past its first _CHUNK
         # columns, at one height, where the horizontal pair is the distance
         for ones in ([0, 560, 600], [-560, 0, 600], [0, 600, 1000]):
             h = 0.5 * float(rng.uniform()) * roof_eval(f, deep)
