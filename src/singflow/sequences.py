@@ -19,9 +19,7 @@ INF = math.inf
 
 # Distances larger than this are reported as infinite.
 MAX_GAP = 2 ** 62
-
-# The floor of a distance 2^-m, so that only equal sequences are at 0.0.
-_TINY = math.ulp(0.0)   # 2^-1074, the least positive double
+_TINY = math.ulp(0.0)   # 2^-1074, the floor of a distance 2^-m: only equal sequences are at 0.0
 
 
 class SequenceFormatError(ValueError):
