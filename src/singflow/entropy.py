@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .roofs import MP_DPS, GapProfile, RoofFunction
-from .sequences import INF
+from .sequences import _TINY, INF
 from .suspension import bw_distance_upper, flow
 
 
@@ -82,7 +82,7 @@ def shannon_binary(lam: float) -> float:
 
 
 _ULP = 2.0 ** -53  # unit roundoff of a double
-_TINY = 2.0 ** -1074  # below 2^-1022 a rounding to a double errs by up to half this
+# _TINY, 2^-1074: below 2^-1022 a rounding to a double errs by up to half of it
 
 
 def _integral_with_bound(lam: float, g: GapProfile) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import operator
 
 import mpmath as mp
 
-from .sequences import INF, MAX_GAP, BitSequence
+from .sequences import INF, MAX_GAP, BitSequence, _last_true
 
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
@@ -700,28 +700,14 @@ class Truncated(GapProfile):
         return self.base.series_diverges()
 
     def _crossover(self) -> tuple[int | None, bool]:
-        """Smallest k at which the active branch flips (None if it never
-        does), and whether the base branch is the one active below it.
-        k*g(k) is monotone for every base but a table, which is truncated
-        entry by entry, so a doubling search plus bisection is exact."""
-        base_below = self.base.value(1) * 1 <= self.a
-
-        def same_branch(k):
-            return (self.base.value(k) * k <= self.a) == base_below
-
-        hi = 1
-        while same_branch(hi):
-            hi *= 2
-            if hi > 2 ** 62:
-                return None, base_below
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if same_branch(mid):
-                lo = mid
-            else:
-                hi = mid
-        return hi, base_below
+        """Smallest k at which ``value`` switches branch (None if none does up
+        to MAX_GAP), and whether the base branch, base.value(k) <= a/k, is the
+        one active below it.  k*g(k) is monotone for every base but a table,
+        which is truncated entry by entry, so one galloping search
+        (``_last_true``) is exact."""
+        base_below = self.base.value(1) <= self.a
+        k = _last_true(lambda k: (self.base.value(k) <= self.a / k) == base_below, 1, MAX_GAP)
+        return (None if k == MAX_GAP else k + 1), base_below
 
     @_series(MP_DPS)
     def bernoulli_series(self, lam):
@@ -735,7 +721,7 @@ class Truncated(GapProfile):
         if kstar > _MAX_EXPLICIT_TERMS:
             raise ProfileResourceError(
                 f"truncation crossover at k={kstar} exceeds the explicit-term cap")
-        return _head_swap((below.value(k) for k in range(1, kstar)), above, lam)
+        return _head_swap((self.value(k) for k in range(1, kstar)), above, lam)
 
     def spec(self):
         return f"trunc:{self.a:g}:{self.base.spec()}"

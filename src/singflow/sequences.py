@@ -57,6 +57,19 @@ def _agree(a, b) -> int:
     return i
 
 
+def _last_true(ok, lo: int, hi: int, tol: int = 1) -> int:
+    """The largest n in lo..hi with ok(n), to within tol: an n with ok(n), and
+    n = hi or not ok(n + tol), given lo >= 1, ok(lo), and ok true up to some n
+    and false past it.  hi if ok(hi), else found by galloping up from lo by
+    factors of 16, then bisection (Bentley and Yao's unbounded search)."""
+    if ok(hi):
+        return hi
+    while hi - lo > tol:  # ok(lo), not ok(hi)
+        mid = min(16 * lo, (lo + hi) // 2)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
 def _normal_form(window, start: int, left, right) -> tuple:
     """(window, start, left, right) in normal form, the words all bytes or
     all tuples: tails reduced to their roots, window symbols a tail predicts

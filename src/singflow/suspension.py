@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roofs import RoofFunction, admissibility_check, ADMISSIBLE, roof_between, roof_eval
-from .sequences import _TINY, BitSequence, compare_radius, seq_distance
+from .sequences import _TINY, BitSequence, _last_true, compare_radius, seq_distance
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -92,9 +92,8 @@ def _jump(f: RoofFunction, a, b, pos: int, h: float, c: float,
     none) the roof g(min(pos - a, b - pos)) rises to the run's middle and falls
     after it: one law call per side.  A count is crossed if its law sum plus
     bound stays below the height.  Counts into the last _R levels before the
-    far 1, or past 2^52 + _R on a zero tail, are not tried; of the rest,
-    galloping by factors of 16, then false position with Illinois' halving,
-    each probe _R/2 inside the bracket, find the largest crossed one to within
+    far 1, or past 2^52 + _R on a zero tail, are not tried; of the rest, one
+    galloping search (``_last_true``) finds the largest crossed one to within
     _R, and n is _R less.  A block past the crossing cap is crossed, and the
     loop raises at its next step."""
     law, height, far = f.profile._level_sum, -h if back else h, a if back else b
@@ -110,26 +109,11 @@ def _jump(f: RoofFunction, a, b, pos: int, h: float, c: float,
         total = sum(part[0] for part in parts)
         return total + sum(part[1] for part in parts) + math.ulp(total) - height, total
 
-    lo, hi = 2 * _R, limit  # lo is crossed; hi is not, or is the last count
-    if lo > limit or not (e_lo := excess(lo)[0]) < 0:
+    if 2 * _R > limit or not excess(2 * _R)[0] < 0:
         return 0, h, c
-    if (e_hi := excess(hi)[0]) < 0:
-        lo = hi
-    side = 0  # the end that moved last: when it moves again, the other's excess halves
-    while hi - lo > _R:
-        w = e_lo / (e_lo - e_hi)
-        if hi <= 16 * lo and 0 < w < 1:  # false position
-            mid = lo + int((hi - lo) * w)
-        else:  # gallop, or bisect
-            mid = min(16 * lo, (lo + hi) // 2)
-        mid = min(max(mid, lo + _R // 2), hi - _R // 2)
-        e = excess(mid)[0]
-        if e < 0:
-            lo, e_lo, e_hi, side = mid, e, e_hi / 2 if side < 0 else e_hi, -1
-        else:
-            hi, e_hi, e_lo, side = mid, e, e_lo / 2 if side > 0 else e_lo, 1
-    total = excess(lo - _R)[1]
-    return (lo - _R, *_kadd(h, c, total if back else -total))
+    n = _last_true(lambda n: excess(n)[0] < 0, 2 * _R, limit, _R) - _R
+    total = excess(n)[1]
+    return (n, *_kadd(h, c, total if back else -total))
 
 
 def flow(p: FlowPoint, t: float, f: RoofFunction,
@@ -141,11 +125,11 @@ def flow(p: FlowPoint, t: float, f: RoofFunction,
     that is not finite raises ValueError.  Roofs come from the bracket a <= pos < b of the
     nearest 1s (None: unbounded), kept until pos leaves it, so a crossing costs O(1).
     _R levels into a run of a profile with a law (``GapProfile._level_sum``), one step,
-    found in O(log n) law calls, crosses all but the last _R levels before the landing
-    and the next 1 (``_jump``); they count toward ``max_crossings``, and the loop
-    crosses the rest, so a flow over at most 2 _R levels of a run adds the same doubles
-    as without the law.  A constant roof has none: the loop's compensated
-    sum of c keeps the bits a rounded c n would lose.
+    found by one galloping search in O(log n) law calls, crosses all but the last _R
+    levels before the landing and the next 1 (``_jump``); they count toward
+    ``max_crossings``, and the loop crosses the rest, so a flow over at most 2 _R
+    levels of a run adds the same doubles as without the law.  A constant roof has
+    none: the loop's compensated sum of c keeps the bits a rounded c n would lose.
     """
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t!r}")

@@ -597,3 +597,54 @@ def test_power_series_matches_the_polylog_oracle_cold_and_warm():
         value = cold[alpha, lam]
         assert Power(alpha).bernoulli_series(lam) == value, (alpha, lam)
         assert float(value) == float(polylog_of_rounded_x(alpha, lam)), (alpha, lam)
+
+
+def doubling_crossover(t):
+    """``Truncated._crossover`` as it was before the shared galloping search:
+    doubling, then bisection, on k*g(k) <= a."""
+    base_below = t.base.value(1) * 1 <= t.a
+
+    def same_branch(k):
+        return (t.base.value(k) * k <= t.a) == base_below
+
+    hi = 1
+    while same_branch(hi):
+        hi *= 2
+        if hi > 2 ** 62:
+            return None, base_below
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same_branch(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi, base_below
+
+
+def test_crossover_matches_the_doubling_search():
+    """(k*, base_below) of the galloping search on value's own comparison
+    against the doubling search on k*g(k), over seeded power, log-harmonic,
+    harmonic and nested truncations; a truncation at its base's level has
+    none."""
+    rng = random.Random(89)
+    cases = [parse_roof_spec(s).profile for s in
+             ("trunc:0.08:logharmonic", "trunc:1:harmonic:1", "trunc:1:power:1")]
+    for _ in range(400):
+        cases.append(Truncated(Power(rng.uniform(0.3, 2.5)), math.exp(rng.uniform(-3, 3))))
+    for _ in range(250):
+        cases.append(Truncated(LogHarmonic(), rng.uniform(0.05, 1.5)))
+    for _ in range(100):
+        scale = rng.uniform(0.1, 10.0)
+        cases.append(Truncated(Harmonic(scale), scale))
+        cases.append(Truncated(Harmonic(scale), rng.uniform(0.1, 10.0)))
+    for _ in range(150):
+        base = rng.choice([Power(rng.uniform(0.3, 2.5)), LogHarmonic(),
+                           Harmonic(rng.uniform(0.1, 10.0))])
+        cases.append(Truncated(Truncated(base, math.exp(rng.uniform(-3, 3))),
+                               math.exp(rng.uniform(-3, 3))))
+    assert len(cases) >= 1000
+    for t in cases:
+        assert t._crossover() == doubling_crossover(t), t.spec()
+    assert cases[0]._crossover() == (268338, False)
+    assert cases[1]._crossover()[0] is None is cases[2]._crossover()[0]

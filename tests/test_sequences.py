@@ -7,7 +7,7 @@ import pytest
 from singflow import (BitSequence, FlowPoint, SequenceFormatError, SymbolSequence,
                       format_sequence_literal, gap_pair, parse_roof_spec,
                       parse_sequence_literal, roof_eval, seq_distance, shift)
-from singflow.sequences import MAX_GAP, _primitive
+from singflow.sequences import MAX_GAP, _last_true, _primitive
 from sequence_oracle import normal_form, normalize_empty
 
 INF = math.inf
@@ -544,3 +544,33 @@ def test_at_matches_the_direct_lookup_near_and_far_from_the_window():
         for y in (x, x.shifted(far)):
             for n in [int(v) for v in rng.integers(-30, 30, size=8)] + [far, -far]:
                 assert y.at(n) == _old_at(y, n), (y, n)
+
+
+def test_last_true_finds_the_last_true_of_a_monotone_predicate():
+    """On seeded ranges up to 2^62, against the n each predicate k <= n is
+    built from (and a linear scan on short ranges): exact for tol 1, below n by
+    less than tol for tol 64, hi when ok(hi), in at most 2 log2(hi - lo) + 2
+    probes."""
+    rng = np.random.default_rng(83)
+    for _ in range(3000):
+        lo = int(rng.choice([1, 128, int(rng.integers(1, 2 ** int(rng.integers(1, 62))))]))
+        hi = lo + int(rng.integers(0, 2 ** int(rng.integers(1, 62))))
+        hi = min(hi, 2 ** 62) if lo < 2 ** 62 else lo
+        n = int(rng.choice([lo, hi, lo + int(rng.integers(0, 2 ** int(rng.integers(1, 63))))]))
+        n = min(n, hi)
+        for tol in (1, 64):
+            probes = []
+
+            def ok(k):
+                assert lo <= k <= hi, (lo, hi, k)
+                probes.append(k)
+                return k <= n
+            got = _last_true(ok, lo, hi, tol)
+            assert got <= n and (got == hi or n < got + tol), (lo, hi, n, tol, got)
+            if tol == 1:
+                assert got == n
+                if hi - lo <= 300:
+                    assert got == max(k for k in range(lo, hi + 1) if k <= n)
+            if n == hi:
+                assert probes == [hi], (lo, hi, probes)
+            assert len(probes) <= 2 * math.log2(max(hi - lo, 1)) + 2, (lo, hi, n, tol, probes)

@@ -364,6 +364,46 @@ def test_flow_runs_out_of_crossings_inside_a_jumped_block():
             assert_flow_like_oracle(p, t, f, need)
 
 
+def counting_law_calls(f):
+    """A list whose length counts the calls flow makes to f's level law."""
+    g, calls = f.profile, []
+    law = type(g)._level_sum
+    g._level_sum = lambda k1, k2: calls.append((k1, k2)) or law(g, k1, k2)
+    return calls
+
+
+def test_flow_finds_its_landing_in_a_few_law_calls():
+    """49 law calls take a flow 1.5 2^40 positions out along a zero tail, and 3
+    bring it back; 16 to 24 take a flow across about half of a run of 2^13
+    zeros and back, as on the bench.  A search that grows linearly in the
+    levels breaks these budgets."""
+    for spec in ("harmonic:1", "power:0.5", "logharmonic"):
+        f = parse_roof_spec(spec)
+        g, far = f.profile, 3 * 2 ** 39
+        head = math.fsum([g.g0] + [g.value(k) for k in range(1, _R)])
+        t = head + g._level_sum(_R, far)[0]
+        calls = counting_law_calls(f)
+        q = flow(flow_point(f, BitSequence.from_ones([0]), 0.0), t, f, max_crossings=2 ** 41)
+        out = len(calls)
+        flow(q, -t, f, max_crossings=2 ** 41)
+        assert out <= 52 and len(calls) - out <= 4, (spec, out, len(calls) - out)
+    rng = np.random.default_rng(97)
+    for spec in ("harmonic:1", "power:0.5"):
+        f = parse_roof_spec(spec)
+        calls = counting_law_calls(f)
+        for _ in range(40):
+            length = 2 ** 13 + int(rng.integers(1, 32))
+            x = BitSequence.from_ones([0, length])
+            roofs = [roof_eval(f, x, j) for j in range(length)]
+            m = int(rng.integers(7 * length // 16, 9 * length // 16))
+            h0, he = 0.5 * roofs[0], 0.5 * roofs[m]
+            t = math.fsum(roofs[:m]) + he - h0
+            before = len(calls)
+            flow(flow_point(f, x, h0), t, f)
+            flow(flow_point(f, x.shifted(m), he), -t, f)
+            assert len(calls) - before <= 26, (spec, length, m, calls[before:])
+
+
 def test_a_profile_that_redefines_its_values_crosses_level_by_level():
     """A subclass with values of its own has no law until it gives one, and
     the profiles without a law say so."""
