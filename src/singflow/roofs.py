@@ -706,8 +706,8 @@ class Truncated(GapProfile):
         which is truncated entry by entry, so one galloping search
         (``_last_true``) is exact."""
         base_below = self.base.value(1) <= self.a
-        k = _last_true(lambda k: (self.base.value(k) <= self.a / k) == base_below, 1, MAX_GAP)
-        return (None if k == MAX_GAP else k + 1), base_below
+        last = _last_true(lambda k: (self.base.value(k) <= self.a / k) == base_below, 1, MAX_GAP)
+        return (None if last == MAX_GAP else last + 1), base_below
 
     @_series(MP_DPS)
     def bernoulli_series(self, lam):

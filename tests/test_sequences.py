@@ -555,9 +555,8 @@ def test_last_true_finds_the_last_true_of_a_monotone_predicate():
     for _ in range(3000):
         lo = int(rng.choice([1, 128, int(rng.integers(1, 2 ** int(rng.integers(1, 62))))]))
         hi = lo + int(rng.integers(0, 2 ** int(rng.integers(1, 62))))
-        hi = min(hi, 2 ** 62) if lo < 2 ** 62 else lo
-        n = int(rng.choice([lo, hi, lo + int(rng.integers(0, 2 ** int(rng.integers(1, 63))))]))
-        n = min(n, hi)
+        inside = lo + int(rng.integers(0, 2 ** int(rng.integers(1, 63))))
+        n = min(hi, int(rng.choice([lo, hi, inside])))
         for tol in (1, 64):
             probes = []
 
