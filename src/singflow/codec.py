@@ -75,8 +75,10 @@ def ceil_sqrt(n: int) -> int:
 def ceil_sqrt_array(v):
     """Exact ceil(sqrt(v)) for an int64 array with 0 <= v < 2^62: the float
     root is within 2^-21 of the true one there, so one correction each way
-    suffices."""
+    suffices.  An entry outside that range raises ValueError."""
     v = np.asarray(v, dtype=np.int64)
+    if ((v < 0) | (v >= 1 << 62)).any():
+        raise ValueError("ceil_sqrt_array needs 0 <= v < 2^62")
     s = np.sqrt(v.astype(np.float64)).astype(np.int64)
     s -= s * s > v
     s += (s + 1) * (s + 1) <= v

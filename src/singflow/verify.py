@@ -18,7 +18,6 @@ import operator
 import numpy as np
 
 from . import codec as cdc
-from .codec import ceil_sqrt_array
 from .sequences import GapPair
 
 _CHUNK = 1 << 15
@@ -100,9 +99,10 @@ _INJEC_FAILURES = ("lower step bound broken", "unexpected equality case",
 
 def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]:
     """Row by row in k+ <= kplus_max, on every R3 pair: the contracting step L obeys
-    (k+ - k-)/2 <= L, with equality only at k+ = 3k-, L <= ceil(k+/2), and
-    the defect k+ + k- - ceil(sqrt(8 k- (k+ - L))) lies in 0..4.  Then
-    two-sided harmonic sums near the split approach log 2."""
+    (k+ - k-)/2 <= L, with equality only at k+ = 3k-, L <= ceil(k+/2), and the
+    defect s - ceil(sqrt(v)) of s = k+ + k-, v = 8 k- (k+ - L) lies in 0..4, tested
+    as v <= s^2 and not (s >= 5 and v <= (s - 5)^2), since ceil(sqrt(v)) <= n iff
+    v <= n^2 for n >= 0.  Then two-sided harmonic sums near the split approach log 2."""
     checked = 0
     for kps in _ranges(2, kplus_max, 2 * kplus_max // 3):
         # R3 rows: k+/3 <= k- < k+, the pair k- = k+/3 only when adjusted
@@ -110,21 +110,21 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
         kp = np.repeat(kps, kps - los)
         km = np.arange(kp.size) + np.repeat(los - np.searchsorted(kp, kps), kps - los)
         L = cdc._contracting_steps(km, kp)
-        # a step past k+ fails the upper check; clamped, its defect stays defined
-        signed = kp + km - ceil_sqrt_array(np.maximum(8 * km * (kp - L), 0))
-        # on these rows a broken lower bound makes 8 k- (k+ - L) > (k+ + k-)^2: defect < 0
-        failed = (L > (kp + 1) // 2) | (signed < 0) | (signed > 4)
+        s, v = kp + km, 8 * km * (kp - L)
+        # v < 0 (a step past k+) reads as a root of 0; a broken lower bound gives v > s^2
+        defect = (v > s * s) | ((s >= 5) & (v <= (s - 5) ** 2))
+        failed = (L > (kp + 1) // 2) | defect
         if failed.any():
             kplus = kp[failed.argmax()]
             fails = np.stack([2 * L < kp - km, (2 * L == kp - km) & (kp != 3 * km),
-                              L > (kp + 1) // 2, (signed < 0) | (signed > 4)])
+                              L > (kp + 1) // 2, defect])
             check = fails[:, kp == kplus].any(axis=1).argmax()
             return False, f"{_INJEC_FAILURES[check]} at k+={kplus}"
         checked += kp.size
-    h = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 60001))])
     base = np.array([1000, 1499, 2000, 3000, 5000])
     km0 = np.repeat(base, 4)
     kp0 = np.stack([base + 1, 3 * base // 2, 2 * base, 3 * base], axis=1).ravel()
+    h = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, kp0.max() + 1))])
     L0 = cdc._contracting_steps(km0, kp0)  # all in R3 under the adjusted boundary
     split = ((h[(kp0 + km0) // 2] - h[km0 - 1])
              + (h[-(-(kp0 + km0) // 2)] - h[kp0 - L0 - 1]))

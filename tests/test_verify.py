@@ -14,7 +14,8 @@ import pytest
 from singflow import ADJUSTED, ALPHABET, PAPER, return_profile
 from singflow import codec as cdc
 from singflow.cli import main
-from singflow.verify import SUITES, ceil_sqrt_array
+from singflow.codec import ceil_sqrt_array
+from singflow.verify import _INJEC_FAILURES, SUITES, _ranges
 
 INDEX = {l: i for i, l in enumerate(ALPHABET)}
 
@@ -77,6 +78,20 @@ def test_ceil_sqrt_array_exact_near_squares():
     want = [1 + math.isqrt(int(v) - 1) for v in n]
     assert ceil_sqrt_array(n).tolist() == want
     assert ceil_sqrt_array(np.array([0, 1, 2])).tolist() == [0, 1, 2]
+
+
+def test_ceil_sqrt_array_refuses_entries_outside_its_range():
+    """Past 2^62 the float root is no longer close enough (2^63 - 1 would read
+    3037000501, not 3037000500), and a negative entry has no root: both raise,
+    before numpy warns of anything."""
+    top = 2 ** 62 - 1
+    assert ceil_sqrt_array(np.array([top, 0])).tolist() == [1 + math.isqrt(top - 1), 0]
+    assert ceil_sqrt_array(np.array([], dtype=np.int64)).tolist() == []
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([2 ** 62], [2 ** 63 - 1], [-1], [4, -9, 16], [-(2 ** 63)]):
+            with pytest.raises(ValueError, match=r"^ceil_sqrt_array needs 0 <= v < 2\^62$"):
+                ceil_sqrt_array(np.array(bad, dtype=np.int64))
 
 
 def _verify_text(argv, capsys):
@@ -283,3 +298,125 @@ def test_injec_names_an_overshooting_step_without_numpy_warnings(monkeypatch):
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert SUITES["injec"](0, 300, ADJUSTED) == (False, "upper step bound broken at k+=5")
+
+
+def _root_defect_out_of_range(s, v):
+    """injec's defect check as it was written with a root: the defect
+    s - ceil(sqrt(v)), with v clamped at 0, outside 0..4."""
+    signed = s - ceil_sqrt_array(np.maximum(v, 0))
+    return (signed < 0) | (signed > 4)
+
+
+def _integer_defect_out_of_range(s, v):
+    """The two integer comparisons injec_suite makes in place of the root."""
+    return (v > s * s) | ((s >= 5) & (v <= (s - 5) ** 2))
+
+
+def _defect_triples(rng, n):
+    """n seeded (k-, k+, L) with v = 8 k- (k+ - L) at one of s^2, s^2 - 1,
+    (s-5)^2, (s-5)^2 - 1 for s = k+ + k-, where 8 k- divides it.  v is a
+    multiple of 8, so it never meets a square plus one."""
+    triples = []
+    while len(triples) < n:
+        s = int(rng.integers(1, 1 << 29))
+        target = [s * s, s * s - 1, (s - 5) ** 2, (s - 5) ** 2 - 1][len(triples) % 4]
+        km = int(rng.integers(1, 40))
+        if 0 < target and target % (8 * km) == 0 and km < s:
+            kp = s - km
+            triples.append((km, kp, kp - target // (8 * km)))
+    return np.array(triples, dtype=np.int64).T
+
+
+def test_the_integer_defect_check_is_the_root_check():
+    """Element by element: every s < 70 against every v from -3 to (s + 1)^2,
+    squares and their neighbours included; seeded triples (k-, k+, L) with k+
+    below 2^29, steps past k+ (v < 0) and rows s < 5 among them; and triples
+    with v at the two squares or one below, where the comparisons switch."""
+    s = np.repeat(np.arange(70), [(k + 1) ** 2 + 4 for k in range(70)])
+    v = np.concatenate([np.arange(-3, (k + 1) ** 2 + 1) for k in range(70)])
+    want = _root_defect_out_of_range(s, v)
+    assert (_integer_defect_out_of_range(s, v) == want).all()
+    assert want.any() and not want.all()
+    rng = np.random.default_rng(2029)
+    km = rng.integers(1, 1 << 28, 200000)
+    kp = km + rng.integers(1, 1 << 28, km.size)
+    L = cdc._contracting_steps(km, kp) + rng.integers(-3, 4, km.size)
+    L[::7] = kp[::7] + rng.integers(1, 1000, L[::7].size)  # steps past k+
+    km[::11], kp[::11] = 1, rng.integers(2, 4, kp[::11].size)  # s < 5
+    for km, kp, L in ((km, kp, L), _defect_triples(rng, 4000)):
+        s, v = kp + km, 8 * km * (kp - L)
+        want = _root_defect_out_of_range(s, v)
+        assert (_integer_defect_out_of_range(s, v) == want).all()
+        assert want.any() and not want.all()
+
+
+def _root_injec_suite(gap_max, kplus_max, boundary):
+    """injec_suite as it was written with a root and a 60,000-entry harmonic
+    table: the oracle of the integer checks."""
+    checked = 0
+    for kps in _ranges(2, kplus_max, 2 * kplus_max // 3):
+        los = -(-kps // 3) if boundary == ADJUSTED else kps // 3 + 1
+        kp = np.repeat(kps, kps - los)
+        km = np.arange(kp.size) + np.repeat(los - np.searchsorted(kp, kps), kps - los)
+        L = cdc._contracting_steps(km, kp)
+        signed = kp + km - ceil_sqrt_array(np.maximum(8 * km * (kp - L), 0))
+        failed = (L > (kp + 1) // 2) | (signed < 0) | (signed > 4)
+        if failed.any():
+            kplus = kp[failed.argmax()]
+            fails = np.stack([2 * L < kp - km, (2 * L == kp - km) & (kp != 3 * km),
+                              L > (kp + 1) // 2, (signed < 0) | (signed > 4)])
+            check = fails[:, kp == kplus].any(axis=1).argmax()
+            return False, f"{_INJEC_FAILURES[check]} at k+={kplus}"
+        checked += kp.size
+    h = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 60001))])
+    base = np.array([1000, 1499, 2000, 3000, 5000])
+    km0 = np.repeat(base, 4)
+    kp0 = np.stack([base + 1, 3 * base // 2, 2 * base, 3 * base], axis=1).ravel()
+    L0 = cdc._contracting_steps(km0, kp0)
+    split = ((h[(kp0 + km0) // 2] - h[km0 - 1])
+             + (h[-(-(kp0 + km0) // 2)] - h[kp0 - L0 - 1]))
+    worst = np.abs(split - math.log(2.0)).max()
+    if worst > 0.01:
+        return False, f"harmonic split sum off by {worst:.4f}"
+    return True, f"{checked} contracting pairs exact; split sums within {worst:.4f} of log 2"
+
+
+def _seeded_r3_step(seed):
+    """The contracting step moved by -3..3 on a seeded few rows of k+."""
+    shift = np.random.default_rng(seed).integers(-3, 4, 1001) * (
+        np.random.default_rng(seed + 1).random(1001) < 0.02)
+    return lambda km, kp: CONTRACTING(km, kp) + shift[np.minimum(kp, 1000)]
+
+
+def _r3_step_at_square(k, j):
+    """The contracting step moved to k+ - (s - k)^2 / (8 k-) + j on every pair
+    where 8 k- divides (s - k)^2 and the step bounds still hold: there v is
+    (s - k)^2 - 8 k- j, and the defect sits at k or one step off it."""
+    def law(km, kp):
+        s, L = km + kp, CONTRACTING(km, kp)
+        q, rem = np.divmod((s - k) ** 2, 8 * km)
+        step = kp - q + j
+        return np.where((rem == 0) & (2 * step > kp - km) & (step <= (kp + 1) // 2), step, L)
+    return law
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+@pytest.mark.parametrize("law", [
+    None, _floor_halving, _long_r3_step, _short_r3_step, _shorter_r3_step_at_11,
+    _halved_gap_at_13, _overshooting_r3_step, lambda km, kp: kp - km,
+    *(_seeded_r3_step(seed) for seed in range(0, 40, 2)),
+    *(_r3_step_at_square(k, j) for k in (0, 4, 5) for j in (-1, 0, 1))])
+def test_injec_matches_the_root_oracle(monkeypatch, law, boundary):
+    if law is not None:
+        target = "region_steps" if law is _floor_halving else "_contracting_steps"
+        monkeypatch.setattr(cdc, target, law)
+    for kplus_max in (2, 3, 20, 300, 1000):
+        got = SUITES["injec"](0, kplus_max, boundary)
+        want = _root_injec_suite(0, kplus_max, boundary)
+        if law is _overshooting_r3_step and kplus_max < 5:
+            # no row reaches k+ = 5, and the split sums read h[k+ - L - 1] = h[-2],
+            # counted from the end of tables of different lengths: both fail there
+            assert not got[0] and not want[0]
+            assert got[1].startswith("harmonic split sum off by ")
+        else:
+            assert got == want
