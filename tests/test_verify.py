@@ -340,9 +340,9 @@ def test_the_integer_defect_check_is_the_root_check():
     rng = np.random.default_rng(2029)
     km = rng.integers(1, 1 << 28, 200000)
     kp = km + rng.integers(1, 1 << 28, km.size)
+    km[::11], kp[::11] = 1, rng.integers(2, 4, kp[::11].size)  # s < 5
     L = cdc._contracting_steps(km, kp) + rng.integers(-3, 4, km.size)
     L[::7] = kp[::7] + rng.integers(1, 1000, L[::7].size)  # steps past k+
-    km[::11], kp[::11] = 1, rng.integers(2, 4, kp[::11].size)  # s < 5
     for km, kp, L in ((km, kp, L), _defect_triples(rng, 4000)):
         s, v = kp + km, 8 * km * (kp - L)
         want = _root_defect_out_of_range(s, v)
