@@ -75,24 +75,40 @@ def _closed_form(value) -> tuple:
     return value, _rounding(value, _CLOSED_FORM_ULPS)
 
 
+def _horner(coefficients, x) -> mp.mpf:
+    """sum_i C_i x^(N-1-i) 2^-B for N integers C_i, highest degree first, at
+    the exact mpf x >= 0, B = prec + _GUARD: Horner's rule on integers in
+    units of 2^-B, one floor a step, converted to mpf once.  Each floor
+    loses less than a unit, times x^j for the j steps after it."""
+    man, exp = x.man << max(x.exp, 0), min(x.exp, 0)
+    total = 0
+    for coefficient in coefficients:
+        total = (total * man >> -exp) + coefficient
+    return mp.ldexp(total, -mp.mp.prec - _GUARD)
+
+
 def _head_swap(head, profile: "GapProfile", lam) -> tuple:
     """(value, bound) of sum_k h(k) x^k, x = (1-lam)^2, where h(k) is the
-    k-th of the ``head`` values for k = 1..len(head) and ``profile.value(k)``
-    beyond: the profile's series plus the explicit differences of the head.
-    The bound is the profile's plus the rounding of the head, whose k-th
-    power of x carries k roundings."""
+    k-th of the m ``head`` values for k = 1..m and ``profile.value(k)``
+    beyond: the profile's series plus x sum_k d_k x^(k-1), d_k = h(k) -
+    profile.value(k), by ``_horner`` on D_k = floor(h(k) 2^B) -
+    floor(value(k) 2^B), within a unit of d_k 2^B.  At the rounded x the m
+    coefficients and m-1 floors cost under 2m units of 2^-B.  x's three
+    roundings move x^k by 1.5k eps, and the conversion and the product one
+    more: (2m + 2) eps sum_k |d_k| x^k, and the profile's bound."""
     x = (1 - lam) ** 2
     series, bound = profile.bernoulli_series(lam, with_bound=True)
-    diff = magnitude = mp.mpf(0)
-    xk = mp.mpf(1)
-    m = 0
-    for m, v in enumerate(head, start=1):
-        xk *= x
-        term = (mp.mpf(v) - profile.value(m)) * xk
-        diff += term
-        magnitude += abs(term)
-    value = series + diff
-    return value, bound + _rounding(magnitude, 2 * m + 4) + _rounding(value, 1)
+    bits = mp.mp.prec + _GUARD
+    m = len(head)
+    pairs = list(zip(reversed(head), map(profile.value, range(m, 0, -1))))
+    try:
+        diffs = [math.floor(math.ldexp(v, bits)) - math.floor(math.ldexp(w, bits)) for v, w in pairs]
+    except OverflowError:  # a value of 2^(1024-B) or more: mpf scales it exactly
+        diffs = [int(mp.ldexp(v, bits)) - int(mp.ldexp(w, bits)) for v, w in pairs]
+    magnitude = x * _horner(map(abs, diffs), x)
+    value = series + x * _horner(diffs, x)
+    return value, bound + _rounding(magnitude, 2 * m + 2) + mp.ldexp(2 * m * x, -bits) \
+        + _rounding(value, 1)
 
 
 @functools.cache
@@ -100,8 +116,8 @@ def _log_harmonic_parts(n: int, terms: int, prec: int) -> tuple:
     """The lambda-free parts of the log-harmonic series at ``prec`` bits, made
     on first use: g(k) for 1 <= k < n, and the Euler-Maclaurin corrections at
     t = n of e^{-ct}/(t log t) over e^{-cn} as two polynomials in y = -c
-    (coefficients highest degree first, for ``mp.polyval``).  The Taylor
-    coefficients F_m of F = 1/(t log t) at n invert those of t log t,
+    (highest degree first; ``_log_harmonic_ints`` keeps them as integers).
+    The Taylor coefficients F_m of F = 1/(t log t) at n invert those of t log t,
     G_0 = n log n, G_1 = log n + 1 and G_m = (-1)^m/(m(m-1) n^(m-1)) for
     m >= 2: F_0 = 1/G_0 and F_m = -(sum_{i=1..m} G_i F_(m-i))/G_0.  The m-th
     Taylor coefficient of e^{-c(n+h)} F(n+h) is e^{-cn} sum_i y^i/i! F_(m-i),
@@ -126,8 +142,19 @@ def _log_harmonic_parts(n: int, terms: int, prec: int) -> tuple:
                            for poly in (corrections, omitted))
 
 
+@functools.cache
+def _log_harmonic_ints(n: int, terms: int, prec: int) -> tuple:
+    """``_log_harmonic_parts`` for ``_horner``, made on first use: g(n-1..1),
+    and the two polynomials in c = -y, each truncated to units of 2^-B."""
+    head, *polys = _log_harmonic_parts(n, terms, prec)
+    bits = prec + _GUARD
+    return (tuple(int(mp.ldexp(g, bits)) for g in reversed(head)),) + tuple(
+        tuple(int(mp.ldexp(a, bits)) * (-1) ** (len(p) - 1 - j) for j, a in enumerate(p))
+        for p in polys)
+
+
 _GAUSS = mp.calculus.quadrature.GaussLegendre(mp.mp)  # keeps its nodes, made on first use
-_GUARD = 10  # the integer panel sums run in units of 2^-B, B = prec + _GUARD
+_GUARD = 10  # the integer sums run in units of 2^-B, B = prec + _GUARD
 
 
 @functools.lru_cache(maxsize=4096)
@@ -510,25 +537,27 @@ class LogHarmonic(GapProfile):
         for g(t) = x^t/(t log t) = e^{-ct}/(t log t).  g is completely
         monotone on t > 1 (a product of e^{-ct}, 1/t and 1/log t), so every
         even derivative is positive and R lies between 0 and the first
-        omitted correction.  Both are e^{-cN} times a polynomial in c whose
-        coefficients are kept per precision (``_log_harmonic_parts``).  The
-        bound adds that correction, the integral's Gauss and rounding bounds
-        and the rounding of the head and tail."""
+        omitted correction.  Both are e^{-cN} times a polynomial in c, and the
+        head is x times one in x: ``_horner`` sums the three on integers kept
+        per precision (``_log_harmonic_ints``).  The bound adds that
+        correction, the integral's bounds, the fixed-point terms, 2N x
+        units of 2^-B for the head and 2N' max(1, c)^(N'-1) e^{-cN} for each
+        polynomial of N' <= 2 terms + 2 coefficients, and 2N eps of the value
+        for the roundings of x, c and the steps in mpf (README, "Bernoulli
+        series")."""
         n, terms = self._HEAD, self._EM_TERMS
         x = (1 - lam) ** 2
         c = -2 * mp.log1p(-lam)
-        powers = [x]
-        for _ in range(2, n):
-            powers.append(powers[-1] * x)
         # B_2j/(2j)! g^(2j-1)(N) = B_2j/(2j) times the (2j-1)-th Taylor coefficient
-        head, corrections, first_omitted = _log_harmonic_parts(n, terms, mp.mp.prec)
-        head = mp.fdot(powers, head)
+        head, corrections, first_omitted = _log_harmonic_ints(n, terms, mp.mp.prec)
         decay = mp.exp(-c * n)
-        tail = decay * mp.polyval(corrections, -c)
-        omitted = abs(decay * mp.polyval(first_omitted, -c))
+        tail = decay * _horner(corrections, c)
+        omitted = abs(decay * _horner(first_omitted, c))
         integral, truncation, rounding = _log_harmonic_integral(c, n)
-        value = head + tail + integral
-        return value, omitted + truncation + rounding + _rounding(value, 4 * n)
+        value = x * _horner(head, x) + tail + integral
+        fixed = 2 * n * x + 8 * (terms + 1) * decay * max(1, c) ** (2 * terms + 1)  # in 2^-B
+        return value, omitted + truncation + rounding + mp.ldexp(fixed, -mp.mp.prec - _GUARD) \
+            + _rounding(value, 2 * n)
 
     def _level_sum(self, k1, k2):
         """``_em_levels`` from k1 >= 2 (g is completely monotone on t > 1; the c = 0
@@ -721,7 +750,7 @@ class Truncated(GapProfile):
         if kstar > _MAX_EXPLICIT_TERMS:
             raise ProfileResourceError(
                 f"truncation crossover at k={kstar} exceeds the explicit-term cap")
-        return _head_swap((self.value(k) for k in range(1, kstar)), above, lam)
+        return _head_swap(list(map(self.value, range(1, kstar))), above, lam)
 
     def spec(self):
         return f"trunc:{self.a:g}:{self.base.spec()}"

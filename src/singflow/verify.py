@@ -102,7 +102,8 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
     (k+ - k-)/2 <= L, with equality only at k+ = 3k-, L <= ceil(k+/2), and the
     defect s - ceil(sqrt(v)) of s = k+ + k-, v = 8 k- (k+ - L) lies in 0..4, tested
     as v <= s^2 and not (s >= 5 and v <= (s - 5)^2), since ceil(sqrt(v)) <= n iff
-    v <= n^2 for n >= 0.  Then two-sided harmonic sums near the split approach log 2."""
+    v <= n^2 for n >= 0.  Then two-sided harmonic sums near the split approach log 2;
+    a step whose sum would read off the harmonic table is off by inf."""
     checked = 0
     for kps in _ranges(2, kplus_max, 2 * kplus_max // 3):
         # R3 rows: k+/3 <= k- < k+, the pair k- = k+/3 only when adjusted
@@ -126,8 +127,10 @@ def injec_suite(gap_max: int, kplus_max: int, boundary: str) -> tuple[bool, str]
     kp0 = np.stack([base + 1, 3 * base // 2, 2 * base, 3 * base], axis=1).ravel()
     h = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, kp0.max() + 1))])
     L0 = cdc._contracting_steps(km0, kp0)  # all in R3 under the adjusted boundary
+    lo = kp0 - L0 - 1
     split = ((h[(kp0 + km0) // 2] - h[km0 - 1])
-             + (h[-(-(kp0 + km0) // 2)] - h[kp0 - L0 - 1]))
+             + (h[-(-(kp0 + km0) // 2)] - h[np.clip(lo, 0, h.size - 1)]))
+    split[(lo < 0) | (lo >= h.size)] = np.inf
     worst = np.abs(split - math.log(2.0)).max()
     if worst > 0.01:
         return False, f"harmonic split sum off by {worst:.4f}"

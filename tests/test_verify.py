@@ -300,6 +300,29 @@ def test_injec_names_an_overshooting_step_without_numpy_warnings(monkeypatch):
         assert SUITES["injec"](0, 300, ADJUSTED) == (False, "upper step bound broken at k+=5")
 
 
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+@pytest.mark.parametrize("kplus_max", [2, 3])
+def test_injec_counts_a_split_step_past_k_plus_as_an_infinite_error(monkeypatch, kplus_max,
+                                                                     boundary):
+    """No row reaches k+ = 5, so the row checks pass; the split sums' steps
+    k+ + 1 at k+ = 1500, 2000, ... would read h[-2], now an infinite error
+    whatever the table's length."""
+    monkeypatch.setattr(cdc, "_contracting_steps", _overshooting_r3_step)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SUITES["injec"](0, kplus_max, boundary) == (
+            False, "harmonic split sum off by inf")
+
+
+@pytest.mark.parametrize("boundary", [ADJUSTED, PAPER])
+def test_injec_counts_a_split_step_past_the_table_as_an_infinite_error(monkeypatch, boundary):
+    """A step of -2 at (k-, k+) = (5000, 15000), the largest split pair, would
+    read h[15001], one past the table's 15,001 entries."""
+    monkeypatch.setattr(cdc, "_contracting_steps", lambda km, kp: np.where(
+        (km == 5000) & (kp == 15000), -2, CONTRACTING(km, kp)))
+    assert SUITES["injec"](0, 20, boundary) == (False, "harmonic split sum off by inf")
+
+
 def _root_defect_out_of_range(s, v):
     """injec's defect check as it was written with a root: the defect
     s - ceil(sqrt(v)), with v clamped at 0, outside 0..4."""
