@@ -11,7 +11,7 @@ from .sequences import (BitSequence, GapPair, SymbolSequence, MAX_GAP,
                         SequenceFormatError, format_sequence_literal, gap_pair,
                         parse_sequence_literal, seq_distance, shift)
 from .roofs import (ADMISSIBLE, INADMISSIBLE, ConstantProfile, GapProfile,
-                    Geometric, Harmonic, LogHarmonic, Power,
+                    Geometric, Harmonic, LogHarmonic, ParameterDomainError, Power,
                     ProfileResourceError, RoofFunction, RoofSpecError, Table,
                     Truncated, UntaggedTableError, ZeroProfile,
                     admissibility_check, parse_profile_spec, parse_roof_spec,

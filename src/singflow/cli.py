@@ -26,8 +26,8 @@ from . import codec as cdc
 from . import entropy as ent
 from .roofs import Harmonic, ProfileResourceError, parse_roof_spec, roof_eval
 from .sequences import BitSequence
-from .suspension import (FlowResourceError, UnitPoint, bw_distance_upper, bw_distances_upper,
-                         flow, flow_point, flowpoints_close, unit_roof_extension)
+from .suspension import (FlowResourceError, UnitPoint, _checked_point, chain_distances,
+                         chain_slots, flow, flowpoints_close, unit_roof_extension)
 from .verify import SUITES
 
 
@@ -103,7 +103,8 @@ def _run_metric(args: argparse.Namespace, out) -> int:
     out.write(f"# roof={args.roof_spec} samples={args.samples} seed={args.seed}\n")
 
     def point(x):
-        return flow_point(f, x, rng.uniform(0.0, roof_eval(f, x)))
+        roof = roof_eval(f, x)
+        return _checked_point(x, rng.uniform(0.0, roof), roof)
 
     def additive():
         p = point(_random_bits(rng))
@@ -113,12 +114,13 @@ def _run_metric(args: argparse.Namespace, out) -> int:
     def chain_metric():
         x, z = _random_bits(rng), _random_bits(rng)
         pa, pb, pc = point(x), point(x), point(z)
-        dab = bw_distance_upper(pa, pb, f, m)
-        dba = bw_distance_upper(pb, pa, f, m)
-        dac2, dac_more, dac = bw_distances_upper(pa, pc, f, (2 * m, m + 2, m))
-        dbc = bw_distance_upper(pb, pc, f, m)
+        table = chain_slots((x, z), f)   # orbit 0 holds pa and pb, orbit 1 pc
+        (dab,), (dba,) = chain_distances(table, 0, pa.height, 0, pb.height, (m,), reverse=True)
+        dac2, dac_more, dac = chain_distances(table, 0, pa.height, 1, pc.height,
+                                              (2 * m, m + 2, m))[0]
+        dbc = chain_distances(table, 0, pb.height, 1, pc.height, (m,))[0][0]
         return (abs(dab - dba) <= 1e-12
-                and bw_distance_upper(pa, pa, f, m) == 0.0
+                and chain_distances(table, 0, pa.height, 0, pa.height, (m,)) == ((0.0,),)
                 and dac_more <= dac + 1e-12
                 and dac2 <= dab + dbc + 1e-12)
 

@@ -10,15 +10,16 @@ exact integers by unique parsing of equal-length generators.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .roofs import MP_DPS, GapProfile, RoofFunction
+from .roofs import _REAL, MP_DPS, GapProfile, ParameterDomainError, RoofFunction
 from .sequences import _TINY, INF
-from .suspension import bw_distance_upper, flow
+from .suspension import chain_distances, chain_slots, flow
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class FlowMeasureSpec:
 
 def shannon_binary(lam: float) -> float:
     """-lam log lam - (1-lam) log(1-lam), natural log, 0 log 0 = 0."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("Bernoulli parameter must lie in [0,1]")
+    if not (isinstance(lam, _REAL) and 0.0 <= lam <= 1.0):
+        raise ParameterDomainError("Bernoulli parameter must lie in [0,1]")
     if lam in (0.0, 1.0):
         return 0.0
     return -lam * math.log(lam) - (1.0 - lam) * math.log1p(-lam)
@@ -87,8 +88,8 @@ _ULP = 2.0 ** -53  # unit roundoff of a double
 
 def _integral_with_bound(lam: float, g: GapProfile) -> tuple[float, float]:
     """The roof integral as a double and a derived bound on its error."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("Bernoulli parameter must lie strictly in (0,1)")
+    if not (isinstance(lam, _REAL) and 0.0 < lam < 1.0):
+        raise ParameterDomainError("Bernoulli parameter must lie strictly in (0,1)")
     with mp.workdps(MP_DPS):
         mlam = mp.mpf(lam)
         series, series_bound = g.bernoulli_series(mlam, with_bound=True)
@@ -248,21 +249,24 @@ def separated_entropy_estimate(points, f: RoofFunction, eps: float, n: int,
                                chain_budget: int, window: int = 3) -> EntropyReport:
     """(1/n) log of the size of a greedily extracted (n, eps)-separated
     subset under the dynamic distance max_{0<=j<n} of the chain upper bound
-    along time-j images."""
+    along time-j images.  The pairs of step j share one ``chain_slots`` table
+    of every point's time-j base, built when the pass first reaches step j;
+    like any table over a pair's orbits, it gives ``bw_distance_upper``'s doubles."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = list(points)
     trajs = [[flow(p, float(j), f) for j in range(n)] for p in pts]
+    table = functools.cache(lambda j: chain_slots([t[j].base for t in trajs], f, window))
     kept: list[int] = []
     for i in range(len(pts)):
         separated = True
         for k in kept:
             dyn = 0.0
             for j in range(n):
-                d = bw_distance_upper(trajs[i][j], trajs[k][j], f, chain_budget,
-                                      window=window)
+                d = chain_distances(table(j), i, trajs[i][j].height, k, trajs[k][j].height,
+                                    (chain_budget,))[0][0]
                 dyn = max(dyn, d)
                 if dyn > eps:
                     break

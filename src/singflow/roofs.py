@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 
 import mpmath as mp
@@ -40,6 +41,7 @@ _MAX_EXPLICIT_TERMS = 10 ** 6
 # mpmath's closed forms (log) and the few operations around them are each
 # good to about an ulp; a generous count for all of them
 _CLOSED_FORM_ULPS = 64
+_REAL = (float, mp.mpf, numbers.Real)   # concrete types first: an ABC check costs about 1 us
 
 
 class UntaggedTableError(ValueError):
@@ -48,6 +50,10 @@ class UntaggedTableError(ValueError):
 
 class ProfileResourceError(RuntimeError):
     """An exact evaluation would need too many explicit terms."""
+
+
+class ParameterDomainError(ValueError):
+    """A Bernoulli parameter outside its domain, or not a real number."""
 
 
 def _rounding(magnitude, ops: int) -> mp.mpf:
@@ -60,10 +66,12 @@ def _series(dps: int):
     """Decorator for ``bernoulli_series``: the decorated method takes lam as
     an mpf and returns (value, absolute error bound).  The public method
     evaluates it under ``dps`` digits and returns the value, or the pair
-    with ``with_bound=True``."""
+    with ``with_bound=True``, for a real lam in (0, 1) only."""
     def decorate(method):
         @functools.wraps(method)
         def bernoulli_series(self, lam, with_bound=False):
+            if not (isinstance(lam, _REAL) and 0 < lam < 1):
+                raise ParameterDomainError(f"Bernoulli parameter {lam!r} is not a real in (0,1)")
             with mp.workdps(dps):
                 value, bound = method(self, mp.mpf(lam))
             return (value, bound) if with_bound else value

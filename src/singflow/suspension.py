@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -23,7 +24,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 HEIGHT_TOL = 1e-9
-_CHUNK = 1024   # columns per comparison step of bw_distances_upper: nb^2 x _CHUNK for nb bases
+_CHUNK = 1024   # columns per comparison step of chain_slots; 16^2 x _CHUNK // nb^2 past 16 bases
 MAX_CROSSINGS = 10 ** 6
 _R = 64   # levels flow crosses one by one next to each 1 and before its landing
 
@@ -56,7 +57,11 @@ class FlowPoint:
 def flow_point(f: RoofFunction, base: BitSequence, height: float) -> FlowPoint:
     """Canonical point of the suspension: validates 0 <= height < f(base)
     (height 0 at the singular fiber)."""
-    roof = roof_eval(f, base)
+    return _checked_point(base, height, roof_eval(f, base))
+
+
+def _checked_point(base: BitSequence, height: float, roof: float) -> FlowPoint:
+    """``flow_point`` where ``roof`` is f(base), already evaluated."""
     if roof == 0.0:
         if height != 0.0:
             raise CanonicalHeightError("only height 0 exists over the singular fiber")
@@ -255,60 +260,81 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     """``bw_distance_upper`` at each of ``budgets``, in order, from one chain
     graph: the t-th relaxation is the distance over at most t edges, so
     budget m reads the iterate that a call with budget m alone stops at.
+    The graph is ``chain_distances`` on the ``chain_slots`` table of the two
+    bases; a shared table over more orbits gives it the same doubles."""
+    return chain_distances(chain_slots((a.base, b.base), f, window),
+                           0, a.height, 1, b.height, budgets)[0]
 
-    Every base and its image under the shift is x.shifted(j) for an endpoint
-    base x and -window <= j <= window + 1, so each is a slot: the bytes of
-    one orbit's bit row on coordinates -r..r of the shift.  These hold 0 and
-    the compare bound of every pair, so equal slots mean equal sequences, a
-    base's roof comes from the slot's 1s nearest to 0 (``roof_between``), and
-    the first mismatch outward from 0 gives the distance, in one table over
-    the distinct bases.
-    """
-    if not budgets:
-        raise ValueError("need at least one chain budget")
-    if min(budgets) < 2:
-        raise ValueError("chain budget must be at least 2")
+
+def chain_slots(bases, f: RoofFunction, window: int = 3) -> tuple:
+    """The height-free part of the chain graphs between points on ``bases``:
+    (window, slots, roof, d).  slots[o] holds the ids of bases[o].shifted(j),
+    -window <= j <= window + 1, by the bytes of its bit row on -r..r, one id
+    per distinct sequence; roof[i] is f at base i, d[i, j] their distance.
+    r is at least every pair's compare radius, so the slots hold 0 and the
+    compare bound of every pair: equal slots mean equal sequences, a base's
+    roof comes from the slot's 1s nearest to 0 (``roof_between``), and the
+    first mismatch outward from 0 gives the distance.  A larger r changes
+    none of these."""
     if window < 0:
         raise ValueError("window must be nonnegative")
-    orbits = a.base, b.base
-    r = compare_radius(*orbits, window + 1)
-    # slot o * n + c is orbits[o].shifted(c - window) on -r..r, for the n shifts
-    # -window .. window + 1; for c < n - 1 the next slot is its image
-    n = 2 * window + 2
+    r = max(compare_radius(x, y, window + 1) for x, y in combinations_with_replacement(bases, 2))
     ids: dict = {}   # equal slots, one id; the distinct bases in id order
-    base = [ids.setdefault(row[c:c + 2 * r + 1], len(ids))
-            for row in (z._row(-r - window, r + window + 2) for z in orbits) for c in range(n)]
+    slots = [[ids.setdefault(row[c:c + 2 * r + 1], len(ids)) for c in range(2 * window + 2)]
+             for row in (z._row(-r - window, r + window + 2) for z in bases)]
     # a slot holds a tail period past each window edge: its 1s nearest to 0 are the sequence's
     roof = [roof_between(f, r, None if (i := key.rfind(1, 0, r + 1)) < 0 else i,
                          None if (j := key.find(1, r + 1)) < 0 else j) for key in ids]
-    ia, ib = base[window], base[n + window]
-    ua, ub = (p.height / roof[i] if roof[i] else 0.0 for p, i in ((a, ia), (b, ib)))
-    if ua == ub and ia == ib:   # one vertex, at vertical length 0
-        return (0.0,) * len(budgets)
-
-    # vertices (base id, normalized height) -> the image's id, in first-insertion
-    # order: a, b, then each base of orbit 0, then of orbit 1, at heights {0, ua, ub}
-    image = dict(zip(base[:n - 1] + base[n:-1], base[1:n] + base[n + 1:]))
-    verts = {(ia, ua): image[ia], (ib, ub): image[ib]}
-    grid = sorted({0.0, ua, ub})
-    for i, j in image.items():
-        for u in ((0.0,) if roof[i] == 0.0 else grid):
-            verts.setdefault((i, u), j)
 
     # d[i, j] = d(base i, base j) = 2^-m from their first mismatch in |m| order, a chunk of
-    # columns at a time, so temporaries stay nb^2 x _CHUNK for nb bases
+    # columns at a time, so temporaries stay at most 16^2 x _CHUNK entries for nb bases
     nb, w = len(ids), 2 * r + 1
+    step = max(1, _CHUNK * 16 ** 2 // max(nb, 16) ** 2)
     keys = np.frombuffer(b"".join(ids), dtype=np.uint8).reshape(nb, w)
     cols = np.empty_like(keys)   # column k holds coordinate (k + 1) // 2 for odd k, else -k // 2
     cols[:, ::2], cols[:, 1::2] = keys[:, r::-1], keys[:, r + 1:]
     dm = np.maximum(np.ldexp(1.0, -(np.arange(1, w + 1) >> 1)), _TINY)   # each column's 2^-|m|
     d = np.zeros((nb, nb))
-    for k0 in range(0, w, _CHUNK):
-        diff = cols[:, None, k0:k0 + _CHUNK] != cols[:, k0:k0 + _CHUNK]
+    for k0 in range(0, w, step):
+        diff = cols[:, None, k0:k0 + step] != cols[:, k0:k0 + step]
         # 2^-m of a chunk's first mismatch is at least that of any later chunk
         d = np.maximum(d, np.where(diff.any(-1), dm[k0 + diff.argmax(-1)], 0.0))
         if np.count_nonzero(d) == nb * nb - nb:   # each pair of distinct bases met its own
             break
+    return window, slots, roof, d
+
+
+def chain_distances(table: tuple, i: int, ha: float, j: int, hb: float,
+                    budgets: tuple[int, ...], reverse: bool = False) -> tuple:
+    """Rows of ``bw_distances_upper`` from a, at height ha on orbit i of a
+    ``chain_slots`` table, to b, at height hb on orbit j, and with ``reverse``
+    (one base) from b back to a.  The graph compares ids and reads roofs and
+    distances, and adds vertices as the pair's slots first appear, so every
+    table over the two orbits gives the same doubles.  On one base, (a, b)
+    and (b, a) swap only the vertices a and b, so one weight matrix serves
+    both, relaxed from each end."""
+    if not budgets:
+        raise ValueError("need at least one chain budget")
+    if min(budgets) < 2:
+        raise ValueError("chain budget must be at least 2")
+    window, slots, roof, d = table
+    si, sj = slots[i], slots[j]
+    if reverse and si != sj:
+        raise ValueError("a reversed row needs both points on one base")
+    ia, ib = si[window], sj[window]
+    ua, ub = (h / roof[k] if roof[k] else 0.0 for h, k in ((ha, ia), (hb, ib)))
+    rows = np.arange(2 if reverse else 1)   # the relaxation's sources: a, and b if reverse
+    if ua == ub and ia == ib:   # one vertex, at vertical length 0
+        return ((0.0,) * len(budgets),) * len(rows)
+
+    # vertices (base id, normalized height) -> the image's id, in first-insertion
+    # order: a, b, then each base of orbit i, then of orbit j, at heights {0, ua, ub}
+    image = dict(zip(si[:-1] + sj[:-1], si[1:] + sj[1:]))
+    verts = {(ia, ua): image[ia], (ib, ub): image[ib]}
+    grid = sorted({0.0, ua, ub})
+    for k, kn in image.items():
+        for u in ((0.0,) if roof[k] == 0.0 else grid):
+            verts.setdefault((k, u), kn)
 
     vb, vu = map(np.array, zip(*verts))
     vi = np.array(list(verts.values()))
@@ -327,16 +353,16 @@ def bw_distances_upper(a: FlowPoint, b: FlowPoint, f: RoofFunction,
     # period 2: the up edge from the lower vertex index weighs; all else is symmetric already
     weight = np.where(np.tri(len(vb), k=-1, dtype=bool), weight.T, weight)
 
-    # shortest paths from a (index 0): reach[t] is b's over at most t edges
-    dist = weight[0]   # over one edge
-    reach = [math.inf, float(dist[1])]
+    # shortest paths from each source: reach[t][s] is the other end's over at most t edges
+    dist = weight[rows]   # over one edge
+    reach = [[math.inf] * len(rows), dist[rows, 1 - rows].tolist()]
     for _ in range(max(budgets) - 2):
-        new = (dist[:, None] + weight).min(0)  # the zero diagonal keeps dist
+        new = (dist[:, :, None] + weight).min(1)  # the zero diagonal keeps dist
         if not (new < dist).any():  # a fixed point stays fixed
             break
         dist = new
-        reach.append(float(dist[1]))
-    return tuple(reach[min(m, len(reach)) - 1] for m in budgets)
+        reach.append(dist[rows, 1 - rows].tolist())
+    return tuple(tuple(reach[min(m, len(reach)) - 1][s] for m in budgets) for s in rows)
 
 
 @dataclass(frozen=True)

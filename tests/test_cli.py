@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from singflow import cli
+from singflow import cli, suspension
 from singflow import codec as cdc
 from singflow.cli import GridSpecError, main, parse_grid
 
@@ -147,21 +147,42 @@ def test_metric_seed_recorded(tmp_path):
         "flow-additivity      FAIL  20 triples, 20 mismatches",
         "chain-metric         PASS  symmetry/diagonal/budget/triangle, 0 mismatches",
         "unit-roof-extension  FAIL  equivariance, 10 mismatches"]),
-    ("bw_distance_upper", lambda *args: 1.0, [  # d(p, p) != 0
+    # every distance 1.0: symmetric, monotone and triangular, but d(p, p) != 0
+    ("chain_distances", lambda t, i, ha, j, hb, budgets, reverse=False:
+        ((1.0,) * len(budgets),) * (1 + reverse), [
         "flow-additivity      PASS  20 triples, 0 mismatches",
         "chain-metric         FAIL  symmetry/diagonal/budget/triangle, 10 mismatches",
         "unit-roof-extension  PASS  equivariance, 0 mismatches"]),
-    # more budget, a longer chain, yet too short to break the triangle check
-    ("bw_distances_upper", lambda a, b, f, budgets, *rest: tuple(1e-9 * k for k in budgets), [
+    # 0 on the diagonal, else more budget, a longer chain, yet too short to break
+    # the triangle check
+    ("chain_distances", lambda t, i, ha, j, hb, budgets, reverse=False:
+        (tuple(0.0 if (i, ha) == (j, hb) else 1e-9 * k for k in budgets),) * (1 + reverse), [
         "flow-additivity      PASS  20 triples, 0 mismatches",
         "chain-metric         FAIL  symmetry/diagonal/budget/triangle, 10 mismatches",
         "unit-roof-extension  PASS  equivariance, 0 mismatches"]),
-], ids=["flowpoints_close", "bw_distance_upper", "bw_distances_upper"])
+], ids=["flowpoints_close", "diagonal", "budget"])
 def test_metric_prints_fail_lines_and_exits_one(check, broken, lines, monkeypatch, capsys):
     monkeypatch.setattr(cli, check, broken)
     code, out, err = run_cli(["metric", "--samples", "20", "--seed", "3"], capsys)
     assert code == 1 and err == ""
     assert out.splitlines() == ["# roof=harmonic:1 samples=20 seed=3"] + lines
+
+
+def test_metric_evaluates_each_drawn_roof_once(monkeypatch, capsys):
+    """``point`` draws a height under the roof it evaluated and hands that roof
+    to the check ``flow_point`` runs too, so a drawn point costs one
+    ``roof_eval``: 20 + 4 x 10 points, none evaluated again in ``suspension``
+    (``flowpoints_close``, which reads roofs of its own, is stubbed)."""
+    calls = {cli: 0, suspension: 0}
+    for module in calls:
+        def counting(f, x, *rest, module=module, roof_eval=module.roof_eval):
+            calls[module] += 1
+            return roof_eval(f, x, *rest)
+        monkeypatch.setattr(module, "roof_eval", counting)
+    monkeypatch.setattr(cli, "flowpoints_close", lambda *args: True)
+    code, out, _ = run_cli(["metric", "--samples", "20", "--seed", "3"], capsys)
+    assert code == 0 and out.count("PASS") == 3
+    assert calls == {cli: 60, suspension: 0}
 
 
 def test_report_command(tmp_path):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from singflow import (ADMISSIBLE, INADMISSIBLE, BitSequence, ConstantProfile,
-                      Geometric, Harmonic, LogHarmonic, Power, RoofFunction,
+                      Geometric, Harmonic, LogHarmonic, ParameterDomainError, Power, RoofFunction,
                       RoofSpecError, Table, Truncated, UntaggedTableError,
                       ZeroProfile, admissibility_check, flow_entropy_bernoulli,
                       parse_roof_spec, roof_eval)
-from singflow import roofs
+from singflow import entropy, roofs, shannon_binary
 from singflow.roofs import _log_harmonic_integral, _polylog_singular, _zeta_term
 
 
@@ -203,6 +203,64 @@ FAMILIES = [
     ConstantProfile(0.7), ZeroProfile(), Table([0.9, 0.8, 0.7], tail=Power(0.5)),
     Truncated(Power(0.5), 2.0), Truncated(LogHarmonic(), 0.4),
 ]
+
+
+def _truncated(g, a):
+    """g truncated at a, or g itself where a geometric profile inside it forbids that."""
+    try:
+        return Truncated(g, a)
+    except TypeError:
+        return g
+
+
+def test_every_bernoulli_series_is_finite_or_refuses_its_lambda():
+    """Over every family, nested truncations and tables, each call returns a
+    finite value with a finite bound or raises ParameterDomainError, for
+    lambdas with nan, +-inf, 0, 1, 2, negatives, subnormals, 1 - 2^-53 and
+    complex values among them.  At lambda = 2 a power series or a table over a
+    power tail used never to return, so this runs only with the check."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    leaf = st.sampled_from([Harmonic(1.5), Power(0.5), Power(2.0), Power(2.37), LogHarmonic(),
+                            Geometric(0.5, c=2.0), ConstantProfile(0.7), ZeroProfile()])
+    values = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4)
+    profile = st.recursive(leaf, lambda inner: st.one_of(
+        st.builds(_truncated, inner, st.floats(0.3, 3.0)),
+        st.builds(lambda tail, vals: Table(vals, tail=tail), inner, values)), max_leaves=3)
+    lam = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0, -0.5,
+                                     5e-324, 1e-310, 1 - 2 ** -53, 0.5, 1e-17, 0.5j,
+                                     mp.mpc(0.5, 0), mp.mpf(2)]), st.floats())
+    answered = []
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(profile, lam)
+    def check(g, lam):
+        try:
+            value, bound = g.bernoulli_series(lam, with_bound=True)
+        except ParameterDomainError:
+            assert not (isinstance(lam, float) and 0 < lam < 1)
+            return
+        assert mp.isfinite(value) and mp.isfinite(bound) and bound >= 0, (g.spec(), lam)
+        answered.append(lam)
+
+    check()
+    assert len(answered) >= 50 and {5e-324, 1 - 2 ** -53} <= set(answered)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Power(0.5).bernoulli_series(2),
+    lambda: Table([0.9, 0.8], tail=Power(0.5)).bernoulli_series(2.0),
+    lambda: LogHarmonic().bernoulli_series(1),
+    lambda: Harmonic(1.0).bernoulli_series(0, with_bound=True),
+    lambda: entropy._integral_with_bound(1.0, Harmonic(1.0)),
+    lambda: shannon_binary(math.nan),
+    lambda: shannon_binary(0.5j),
+    lambda: flow_entropy_bernoulli(0.5j, Harmonic(1.0)),
+], ids=["power-2", "table-2", "logharmonic-1", "harmonic-0", "integral-1", "shannon-nan",
+        "shannon-complex", "entropy-complex"])
+def test_lambda_outside_the_domain_raises_the_typed_error(call):
+    with pytest.raises(ParameterDomainError, match="Bernoulli parameter"):
+        call()
 
 
 def test_import_leaves_mpmath_precision_alone():
