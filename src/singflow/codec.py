@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .roofs import RoofFunction, roof_between
+from .roofs import RoofFunction, _positive, roof_between
 from .sequences import INF, BitSequence, GapPair, SymbolSequence, gap_pair
 
 ADJUSTED = "adjusted"
@@ -595,11 +595,7 @@ def roof_prime(x: BitSequence, f: RoofFunction, boundary: str = ADJUSTED) -> flo
     if not f.is_singular:
         raise ValueError("the accelerated roof is defined for gap-profile roofs")
     if x.is_zero():
-        l = f.profile.kg_limit()
-        if not 0 < l < INF:
-            raise ValueError(
-                "evaluating at the zero sequence needs a finite positive limit of k*g(k)")
-        return l * math.log(2.0)
+        return _positive(f.profile.kg_limit(), "the limit of k*g(k)") * math.log(2.0)
     k = gap_pair(x)
     return _birkhoff_over_step(k.k_minus, k.k_plus, f, boundary)
 
@@ -611,10 +607,7 @@ def roof_prime_continuity_probe(profile, K: int, boundary: str = ADJUSTED) -> fl
     in K."""
     if K < 3:
         raise ValueError("K must be at least 3")
-    l = profile.kg_limit()
-    if not 0 < l < INF:
-        raise ValueError("the probe needs a finite positive limit of k*g(k)")
-    target = l * math.log(2.0)
+    target = _positive(profile.kg_limit(), "the limit of k*g(k)") * math.log(2.0)
     pairs = [
         (K, 100 * K), (K, 8 * K),              # deep expanding phase
         (K, 3 * K + 1), (K, 3 * K),            # expanding/contracting boundary

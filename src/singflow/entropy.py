@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .roofs import _REAL, MP_DPS, GapProfile, ParameterDomainError, RoofFunction
-from .sequences import _TINY, INF
+from .roofs import _REAL, MP_DPS, GapProfile, ParameterDomainError, RoofFunction, _positive
+from .sequences import _TINY
 from .suspension import chain_distances, chain_slots, flow
 
 
@@ -39,7 +39,7 @@ class MeasureAtom:
     def __post_init__(self):
         if self.kind not in ("bernoulli", "dirac"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ValueError("weights must be nonnegative")
         if self.kind == "bernoulli" and not (self.lam is not None and 0 < self.lam < 1):
             raise ValueError("Bernoulli parameter must lie strictly in (0,1)")
@@ -186,18 +186,11 @@ def singular_limit_scan(g: GapProfile, lam_grid) -> ScanResult:
         integral, _ = _integral_with_bound(lam, g)
         rows.append(ScanRow(lam, integral, abramov(shannon_binary(lam), integral)))
     l = g.kg_limit()
-    ents = [r.entropy for r in rows]
-    if l == INF:
-        target = 0.0
-        monotone = all(a > b for a, b in zip(ents, ents[1:]))
-    elif l == 0:
-        target = None
-        monotone = all(a < b for a, b in zip(ents, ents[1:]))
-    else:
-        target = 1.0 / (2.0 * l)
-        monotone = all(abs(a - target) > abs(b - target)
-                       for a, b in zip(ents, ents[1:]))
-    final_err = None if target is None else abs(ents[-1] - target)
+    target = None if l == 0 else 1.0 / (2.0 * l)   # 0.0 for l = inf
+    # entropies are >= 0, so a divergent ratio nears its target as -entropy falls
+    dist = [-r.entropy if target is None else abs(r.entropy - target) for r in rows]
+    monotone = all(a > b for a, b in zip(dist, dist[1:]))
+    final_err = None if target is None else dist[-1]
     return ScanResult(g.spec(), tuple(rows), target, monotone, final_err)
 
 
@@ -239,8 +232,7 @@ def sft_entropy_wordcount(allowed_two_letter_words, n: int) -> EntropyReport:
 def sex_entropy_formula(measure: FlowMeasureSpec, l: float, h_of_base_part: float) -> float:
     """Closed-form symbolic-extension entropy: affine in the measure, worth
     h on the nonsingular part and 1/(2l) on the singular atom."""
-    if not 0 < l < INF:
-        raise ValueError("needs a finite positive limit l")
+    l = _positive(l, "the limit l")
     w = measure.singular_weight()
     return h_of_base_part * (1.0 - w) + w / (2.0 * l)
 
@@ -249,31 +241,31 @@ def separated_entropy_estimate(points, f: RoofFunction, eps: float, n: int,
                                chain_budget: int, window: int = 3) -> EntropyReport:
     """(1/n) log of the size of a greedily extracted (n, eps)-separated
     subset under the dynamic distance max_{0<=j<n} of the chain upper bound
-    along time-j images.  The pairs of step j share one ``chain_slots`` table
-    of every point's time-j base, built when the pass first reaches step j;
-    like any table over a pair's orbits, it gives ``bw_distance_upper``'s doubles."""
+    along time-j images.  Every point's time-j image, and one ``chain_slots``
+    table of their bases for the pairs of step j, are made when the pass
+    first reaches step j; like any table over a pair's orbits, it gives
+    ``bw_distance_upper``'s doubles."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if chain_budget < 2 or window < 0:
+        raise ValueError("chain budget must be at least 2 and window nonnegative")
     pts = list(points)
-    trajs = [[flow(p, float(j), f) for j in range(n)] for p in pts]
-    table = functools.cache(lambda j: chain_slots([t[j].base for t in trajs], f, window))
+
+    @functools.cache
+    def step(j):
+        images = [flow(p, float(j), f) for p in pts]
+        return images, chain_slots([q.base for q in images], f, window)
+
+    def apart(i, k):
+        return any(chain_distances(table, i, images[i].height, k, images[k].height,
+                                   (chain_budget,))[0][0] > eps
+                   for images, table in map(step, range(n)))
+
     kept: list[int] = []
     for i in range(len(pts)):
-        separated = True
-        for k in kept:
-            dyn = 0.0
-            for j in range(n):
-                d = chain_distances(table(j), i, trajs[i][j].height, k, trajs[k][j].height,
-                                    (chain_budget,))[0][0]
-                dyn = max(dyn, d)
-                if dyn > eps:
-                    break
-            if dyn <= eps:
-                separated = False
-                break
-        if separated:
+        if all(apart(i, k) for k in kept):
             kept.append(i)
     count = len(kept)
     value = 0.0 if count <= 1 else math.log(count) / n

@@ -56,6 +56,13 @@ class ParameterDomainError(ValueError):
     """A Bernoulli parameter outside its domain, or not a real number."""
 
 
+def _positive(v, what: str) -> float:
+    """float(v) for 0 < v < inf, else a ValueError naming ``what``."""
+    if not 0 < v < INF:
+        raise ValueError(f"{what} must be positive and finite")
+    return float(v)
+
+
 def _rounding(magnitude, ops: int) -> mp.mpf:
     """Bound on the rounding error of ``ops`` operations on values of at most
     ``magnitude``, at the working precision."""
@@ -437,10 +444,8 @@ class Harmonic(GapProfile):
     series_kind = "closed_form"
 
     def __init__(self, l: float = 1.0, g0: float = 1.0):
-        if not 0 < l < INF:
-            raise ValueError("harmonic scale must be positive and finite")
-        self.l = float(l)
-        self.g0 = float(g0)
+        self.l = _positive(l, "harmonic scale")
+        self.g0 = _positive(g0, "g0")
 
     def value(self, k):
         return self.l / k
@@ -470,10 +475,8 @@ class Power(GapProfile):
     series_kind = "closed_form"
 
     def __init__(self, alpha: float, g0: float = 1.0):
-        if not 0 < alpha < INF:
-            raise ValueError("power exponent must be positive and finite")
-        self.alpha = float(alpha)
-        self.g0 = float(g0)
+        self.alpha = _positive(alpha, "power exponent")
+        self.g0 = _positive(g0, "g0")
 
     def value(self, k):
         return k ** (-self.alpha)
@@ -525,7 +528,7 @@ class LogHarmonic(GapProfile):
     _EM_TERMS = 10      # Bernoulli-number corrections of the tail
 
     def __init__(self, g0: float = 1.0):
-        self.g0 = float(g0)
+        self.g0 = _positive(g0, "g0")
 
     def value(self, k):
         if k == 1:
@@ -588,11 +591,9 @@ class Geometric(GapProfile):
     def __init__(self, rho: float, c: float = 1.0, g0: float = 1.0):
         if not 0 < rho < 1:
             raise ValueError("geometric ratio must lie in (0,1)")
-        if not 0 < c < INF:
-            raise ValueError("geometric scale must be positive and finite")
         self.rho = float(rho)
-        self.c = float(c)
-        self.g0 = float(g0)
+        self.c = _positive(c, "geometric scale")
+        self.g0 = _positive(g0, "g0")
 
     def value(self, k):
         return self.c * self.rho ** k
@@ -606,8 +607,9 @@ class Geometric(GapProfile):
     @_series(MP_DPS)
     def bernoulli_series(self, lam):
         x = (1 - lam) ** 2
-        rx = mp.mpf(self.rho) * x
-        return _closed_form(mp.mpf(self.c) * rx / (1 - rx))
+        rho = mp.mpf(self.rho)
+        # 1 - rho x as a sum of two positive terms, without cancellation as rho x -> 1
+        return _closed_form(mp.mpf(self.c) * (rho * x) / ((1 - rho) + rho * _one_minus_x(lam)))
 
     def spec(self):
         return f"geometric:{self.rho:g}:{self.c:g}"
@@ -619,10 +621,8 @@ class ConstantProfile(GapProfile):
     series_kind = "closed_form"
 
     def __init__(self, c: float, g0: float | None = None):
-        if not 0 < c < INF:
-            raise ValueError("constant profile must be positive and finite")
-        self.c = float(c)
-        self.g0 = float(c if g0 is None else g0)
+        self.c = _positive(c, "constant profile")
+        self.g0 = _positive(c if g0 is None else g0, "g0")
 
     def value(self, k):
         return self.c
@@ -649,7 +649,7 @@ class ZeroProfile(GapProfile):
     series_kind = "closed_form"
 
     def __init__(self, g0: float = 1.0):
-        self.g0 = float(g0)
+        self.g0 = _positive(g0, "g0")
 
     def value(self, k):
         return 0.0
@@ -678,7 +678,7 @@ class Table(GapProfile):
         if not all(0 <= v < INF for v in self.table):
             raise ValueError("table values must be nonnegative and finite")
         self.tail = tail
-        self.g0 = float(g0)
+        self.g0 = _positive(g0, "g0")
 
     @property
     def _tail(self) -> GapProfile:
@@ -711,12 +711,10 @@ class Truncated(GapProfile):
     the table of the truncated entries over the truncated tail."""
 
     def __init__(self, base: GapProfile, a: float):
-        if not 0 < a < INF:
-            raise ValueError("truncation level must be positive and finite")
+        self.a = _positive(a, "truncation level")
         if isinstance(base, Geometric):
             raise TypeError("truncation needs a base with monotone k*g(k)")
         self.base = base
-        self.a = float(a)
         self.g0 = base.g0
         table = base._table if isinstance(base, Truncated) else base
         self._table = None
@@ -777,9 +775,7 @@ class RoofFunction:
     def __init__(self, *, constant: float | None = None, profile: GapProfile | None = None):
         if (constant is None) == (profile is None):
             raise ValueError("exactly one of constant/profile must be given")
-        if constant is not None and not 0 < constant < INF:
-            raise ValueError("constant roofs must be positive and finite")
-        self.constant = float(constant) if constant is not None else None
+        self.constant = None if constant is None else _positive(constant, "constant roofs")
         self.profile = profile
 
     @classmethod

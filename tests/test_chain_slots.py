@@ -311,3 +311,18 @@ def test_a_large_set_table_keeps_its_comparison_temporaries_bounded():
     assert len(roof) > 200 and peak < 8e6
     for o, p in ((0, 1), (2, 3), (5, 23)):
         assert d[slots[o][4], slots[p][4]] == seq_distance(bases[o], bases[p])
+
+
+def test_separated_estimate_flows_the_points_to_a_step_when_the_pass_first_reaches_it(monkeypatch):
+    """Every point is flowed to step j once, with step j's table: at eps =
+    1e-12 every pair of distinct points parts at step 0, at eps = 50 no pair
+    parts, and a single point is compared with nothing."""
+    times = []
+    monkeypatch.setattr(entropy, "flow", lambda p, t, *rest: times.append(t) or flow(p, t, *rest))
+    f = ROOFS[0]
+    points = [flow_point(f, BitSequence.from_ones(ones), 0.0) for ones in ([0], [0, 3], [1, 2], [-2])]
+    for pts, eps, want in ((points, 1e-12, [0.0] * 4), (points, 50.0, [0.0] * 4 + [1.0] * 4 + [2.0] * 4),
+                           (points[:1], 50.0, [])):
+        times.clear()
+        separated_entropy_estimate(pts, f, eps, 3, 4)
+        assert times == want, (len(pts), eps)

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from singflow import (BitSequence, ConstantProfile, FlowMeasureSpec, Harmonic,
+from singflow import (BitSequence, ConstantProfile, FlowMeasureSpec, Geometric, Harmonic,
                       LogHarmonic, MeasureAtom, Power, RoofFunction, Table,
                       Truncated, ZeroProfile, abramov, fiber_sfts, FlowPoint,
                       flow_entropy_bernoulli, parse_roof_spec,
@@ -454,3 +454,60 @@ def test_scan_csv_rows_of_a_divergent_family():
     lines = buf.getvalue().splitlines()
     assert lines[:2] == ["# profile=power:2", "lambda,integral,entropy,target,abs_error"]
     assert lines[2:] == [f"{r.lam!r},{r.integral!r},{r.entropy!r},divergent," for r in scan.rows]
+
+
+def test_a_nan_weight_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        MeasureAtom("dirac", math.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        FlowMeasureSpec.mixture(MeasureAtom("bernoulli", 1.0, 0.3), MeasureAtom("dirac", math.nan))
+
+
+def oracle_trend(ents, l):
+    """(target, monotone_toward_target, final_abs_error) of a scan's entropies,
+    in the three branches ``singular_limit_scan`` had before its trend was one
+    distance to the target."""
+    if l == math.inf:
+        target = 0.0
+        monotone = all(a > b for a, b in zip(ents, ents[1:]))
+    elif l == 0:
+        target = None
+        monotone = all(a < b for a, b in zip(ents, ents[1:]))
+    else:
+        target = 1.0 / (2.0 * l)
+        monotone = all(abs(a - target) > abs(b - target)
+                       for a, b in zip(ents, ents[1:]))
+    final_err = None if target is None else abs(ents[-1] - target)
+    return target, monotone, final_err
+
+
+def test_scan_trend_matches_the_three_branch_oracle():
+    profiles = [Harmonic(1.0), Harmonic(2.5), Power(0.5), Power(1.0), Power(2.0), LogHarmonic(),
+                Geometric(0.5), ConstantProfile(1.0), ZeroProfile(), Table([0.9, 0.2], Harmonic(1.0)),
+                Truncated(Power(0.5), 2.0), Truncated(LogHarmonic(), 0.5)]
+    rng = random.Random(3201)
+    seen = set()
+    for g in profiles:
+        for _ in range(6):
+            # uniform grids reach lam near 1, where every ratio rises as lam falls
+            draw = rng.choice([lambda: 10.0 ** -rng.uniform(0, 12), lambda: rng.uniform(0.001, 0.999)])
+            grid = sorted({draw() for _ in range(rng.randint(1, 6))}, reverse=True)
+            scan = singular_limit_scan(g, grid)
+            want = oracle_trend([r.entropy for r in scan.rows], g.kg_limit())
+            assert (scan.target, scan.monotone_toward_target, scan.final_abs_error) == want, \
+                (g.spec(), grid)
+            seen.add((want[0] is None, want[0] == 0.0, want[1]))
+    assert {m for *_, m in seen} == {True, False}
+    assert {(d, z) for d, z, _ in seen} == {(True, False), (False, True), (False, False)}
+    # the constant roof's entropies at 3/4 and 1/4 are one double: a tie is no trend
+    tie = singular_limit_scan(ConstantProfile(1.0), [0.75, 0.25])
+    assert tie.rows[0].entropy == tie.rows[1].entropy
+    assert oracle_trend([r.entropy for r in tie.rows], math.inf)[1] is tie.monotone_toward_target is False
+
+
+@pytest.mark.parametrize("budget, window", [(1, 3), (4, -1)])
+def test_separated_estimate_refuses_a_bad_budget_or_window_before_any_work(budget, window):
+    unit = RoofFunction.const(1.0)
+    for pts in ([], [FlowPoint(BitSequence.from_ones([0]), 0.0)]):
+        with pytest.raises(ValueError, match="chain budget must be at least 2 and window nonnegative"):
+            separated_entropy_estimate(pts, unit, 0.5, 3, budget, window)

@@ -1,3 +1,4 @@
+import fractions
 import functools
 import math
 import os
@@ -706,3 +707,50 @@ def test_crossover_matches_the_doubling_search():
         assert t._crossover() == doubling_crossover(t), t.spec()
     assert cases[0]._crossover() == (268338, False)
     assert cases[1]._crossover()[0] is None is cases[2]._crossover()[0]
+
+
+G0_FAMILIES = {
+    "harmonic": lambda g0: Harmonic(1.0, g0=g0),
+    "power": lambda g0: Power(0.5, g0=g0),
+    "logharmonic": lambda g0: LogHarmonic(g0=g0),
+    "geometric": lambda g0: Geometric(0.5, 1.0, g0=g0),
+    "constprofile": lambda g0: ConstantProfile(1.0, g0=g0),
+    "zero": lambda g0: ZeroProfile(g0=g0),
+    "table": lambda g0: Table([0.5], Harmonic(1.0), g0=g0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(G0_FAMILIES))
+@pytest.mark.parametrize("g0", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_every_family_refuses_a_g0_that_is_not_positive_and_finite(family, g0):
+    with pytest.raises(ValueError, match="^g0 must be positive and finite$"):
+        G0_FAMILIES[family](g0)
+    assert G0_FAMILIES[family](0.25).g0 == 0.25
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("harmonic:inf", "bad profile spec 'harmonic:inf': harmonic scale must be positive and finite"),
+    ("power:nan", "bad profile spec 'power:nan': power exponent must be positive and finite"),
+    ("const:inf", "bad roof spec 'const:inf': constant roofs must be positive and finite"),
+    ("trunc:0:harmonic:1",
+     "bad profile spec 'trunc:0:harmonic:1': truncation level must be positive and finite"),
+])
+def test_a_parameter_that_is_not_positive_and_finite_keeps_its_spec_error_text(spec, message):
+    with pytest.raises(RoofSpecError) as info:
+        parse_roof_spec(spec)
+    assert str(info.value) == message
+
+
+def exact_mpf(v):
+    man, exp = v.man_exp
+    return fractions.Fraction(man) * fractions.Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.999999, 1 - 2.0 ** -40])
+def test_geometric_series_lies_within_its_bound_as_rho_x_nears_one(rho):
+    """c rho x/(1 - rho x) against its exact rational value: 1 - rho x cancels
+    as rho x -> 1 unless it is summed as (1 - rho) + rho lam(2 - lam)."""
+    for lam in [0.9] + [10.0 ** -e for e in range(1, 301, 3)]:
+        value, bound = Geometric(rho, 1.5).bernoulli_series(lam, with_bound=True)
+        rx = fractions.Fraction(rho) * (1 - fractions.Fraction(lam)) ** 2
+        assert abs(exact_mpf(value) - fractions.Fraction(3, 2) * rx / (1 - rx)) <= exact_mpf(bound), lam
